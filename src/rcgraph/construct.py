@@ -27,6 +27,7 @@ from .rainbow import (
     PathPacking,
     _check_pair,
     _max_disjoint_packing,
+    _simple_paths,
     is_rainbow_k_connected,
 )
 from .seeds import check_seed, mix64, splitmix64, splitmix64_array
@@ -154,32 +155,15 @@ def count_disjoint_length_d_paths(
     _check_pair(g, u, v)
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    adj = g.adj
     found: list[tuple[int, ...]] = []
-    path = [u]
-    visited = [False] * g.n
-    visited[u] = True
-
-    def dfs(x: int, depth: int) -> None:
-        for w in adj[x]:
-            if w == v:
-                if depth + 1 == d:
-                    found.append(tuple(path) + (v,))
-                    if len(found) > path_budget:
-                        raise BudgetExceeded(
-                            f"more than {path_budget} length-{d} paths between "
-                            f"{u} and {v}; raise path_budget to force the count"
-                        )
-                continue
-            if visited[w] or depth + 1 >= d:
-                continue
-            visited[w] = True
-            path.append(w)
-            dfs(w, depth + 1)
-            path.pop()
-            visited[w] = False
-
-    dfs(u, 0)
+    for q in _simple_paths(g, u, v, d, (0,) * g.m):
+        if len(q) == d + 1:
+            found.append(q)
+            if len(found) > path_budget:
+                raise BudgetExceeded(
+                    f"more than {path_budget} length-{d} paths between "
+                    f"{u} and {v}; raise path_budget to force the count"
+                )
     found.sort()
     return _max_disjoint_packing(found, cap=None)
 

@@ -10,7 +10,9 @@ on small graphs.
 Verification runs per pair on small graphs; on large graphs it switches
 to boolean matrix algebra over per-color adjacency planes, falling back
 to the exact per-pair search only for pairs the length-2 packing bound
-cannot settle.
+cannot settle. One iterative enumerator of simple paths, ``_simple_paths``,
+serves the per-pair verification, that fallback, and the length-d path
+count in :mod:`rcgraph.construct`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from itertools import combinations
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -105,6 +107,11 @@ class EdgeColoring:
     def assignment(self) -> tuple[int, ...]:
         return tuple(self.color_array.tolist())
 
+    @cached_property
+    def color_bits(self) -> tuple[int, ...]:
+        """Per-edge ``1 << color``, the masks of the rainbow path search."""
+        return tuple(1 << color for color in self.assignment)
+
     def color_of(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
         return int(self.color_array[self.graph.edge_index[key]])
@@ -185,6 +192,44 @@ def _check_coloring_for(g: Graph, col: EdgeColoring) -> None:
         raise ValueError("coloring belongs to a structurally different graph")
 
 
+def _simple_paths(
+    g: Graph, u: int, v: int, cap: int, bits: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Yield every simple u-v path of at most ``cap`` edges whose edges
+    carry pairwise disjoint bits, in depth-first order over the sorted
+    incidence lists.
+
+    ``bits[ei]`` is the bit of edge ``ei``: its color bit for rainbow
+    paths, or 0 for every edge when no edge may block another. The search
+    keeps an explicit stack of (neighbor iterator, used bits) frames, so
+    path length is not bounded by the interpreter's recursion limit.
+    """
+    inc = g.incidence
+    path = [u]
+    on_path = [False] * g.n
+    on_path[u] = True
+    stack = [(iter(inc[u]), 0)]
+    while stack:
+        it, used = stack[-1]
+        deeper = len(path) < cap
+        for w, ei in it:
+            bit = bits[ei]
+            if used & bit:
+                continue
+            if w == v:
+                yield (*path, v)
+                continue
+            if on_path[w] or not deeper:
+                continue
+            on_path[w] = True
+            path.append(w)
+            stack.append((iter(inc[w]), used | bit))
+            break
+        else:
+            stack.pop()
+            on_path[path.pop()] = False
+
+
 def enumerate_rainbow_paths(
     g: Graph, col: EdgeColoring, u: int, v: int, max_len: int
 ) -> list[tuple[int, ...]]:
@@ -194,59 +239,8 @@ def enumerate_rainbow_paths(
     _check_coloring_for(g, col)
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
-    cap = min(max_len, col.c)
-    colors = col.assignment
-    inc = g.incidence
-    found: list[tuple[int, ...]] = []
-    path = [u]
-    visited = [False] * g.n
-    visited[u] = True
-
-    def dfs(x: int, used: int, depth: int) -> None:
-        for w, ei in inc[x]:
-            bit = 1 << colors[ei]
-            if used & bit:
-                continue
-            if w == v:
-                found.append(tuple(path) + (v,))
-                continue
-            if visited[w] or depth + 1 >= cap:
-                continue
-            visited[w] = True
-            path.append(w)
-            dfs(w, used | bit, depth + 1)
-            path.pop()
-            visited[w] = False
-
-    dfs(u, 0, 0)
-    found.sort(key=lambda q: (len(q), q))
-    return found
-
-
-def _has_rainbow_path(g: Graph, col: EdgeColoring, u: int, v: int) -> bool:
-    """Existence-only variant of the enumeration, with early exit."""
-    cap = col.c
-    colors = col.assignment
-    inc = g.incidence
-    visited = [False] * g.n
-    visited[u] = True
-
-    def dfs(x: int, used: int, depth: int) -> bool:
-        for w, ei in inc[x]:
-            bit = 1 << colors[ei]
-            if used & bit:
-                continue
-            if w == v:
-                return True
-            if visited[w] or depth + 1 >= cap:
-                continue
-            visited[w] = True
-            if dfs(w, used | bit, depth + 1):
-                return True
-            visited[w] = False
-        return False
-
-    return dfs(u, 0, 0)
+    paths = _simple_paths(g, u, v, min(max_len, col.c), col.color_bits)
+    return sorted(paths, key=lambda q: (len(q), q))
 
 
 def _max_disjoint_packing(paths: list[tuple[int, ...]], cap: int | None = None) -> int:
@@ -388,7 +382,7 @@ def _verify_pairs(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if k == 1:
-                ok = _has_rainbow_path(g, col, u, v)
+                ok = next(_simple_paths(g, u, v, col.c, col.color_bits), None) is not None
             else:
                 ok = max_disjoint_rainbow_paths(g, col, u, v, k) >= k
             if not ok:
@@ -432,24 +426,28 @@ class RcResult:
 def _canonical_colorings(m: int, c: int):
     """All colorings of m ordered edges using exactly colors 1..c, with each
     color first appearing in increasing order (one representative per
-    color-permutation class)."""
+    color-permutation class), in lexicographic order."""
     if c > m:
         return
     assign = [0] * m
-
-    def rec(i: int, introduced: int):
+    introduced = [0] * (m + 1)  # introduced[i]: distinct colors in assign[:i]
+    i = 0
+    while i >= 0:
         if i == m:
-            if introduced == c:
+            if introduced[m] == c:
                 yield tuple(assign)
-            return
-        if c - introduced > m - i:
-            return  # not enough edges left to introduce the remaining colors
-        top = min(introduced + 1, c)
-        for color in range(1, top + 1):
-            assign[i] = color
-            yield from rec(i + 1, introduced + (1 if color == introduced + 1 else 0))
-
-    yield from rec(0, 0)
+            i -= 1
+            continue
+        color = assign[i] + 1
+        # Backtrack once position i has tried every color, or when too few
+        # edges are left to introduce the remaining colors.
+        if color > min(introduced[i] + 1, c) or c - introduced[i] > m - i:
+            assign[i] = 0
+            i -= 1
+            continue
+        assign[i] = color
+        introduced[i + 1] = introduced[i] + (color == introduced[i] + 1)
+        i += 1
 
 
 def rc_k_exact(

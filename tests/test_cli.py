@@ -103,6 +103,12 @@ def test_theory_prints_labeled_table(capsys):
     assert "vacuous" in out  # 2**20 overshoots p = 1 at this n
 
 
+def test_theory_overflow_is_usage_error(capsys):
+    assert main(["theory", "--n", "100", "--d", "120"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_rainbow_subcommand_accepts_and_reports(tmp_path, graph_file, capsys):
     gpath = graph_file(gnp_generate(60, 0.5, 3))
     out = tmp_path / "col.txt"

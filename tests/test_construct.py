@@ -153,6 +153,9 @@ class TestCountDisjointPaths:
         with pytest.raises(BudgetExceeded):
             count_disjoint_length_d_paths(complete_graph(12), 0, 1, 3, path_budget=10)
 
+    def test_path_longer_than_recursion_limit(self):
+        assert count_disjoint_length_d_paths(path_graph(1100), 0, 1099, 1099) == 1
+
     @given(graph_pairs(min_n=4, max_n=9), st.integers(1, 4))
     @settings(max_examples=80, deadline=None)
     def test_matches_brute_force(self, gp, d):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -21,7 +22,7 @@ from rcgraph import (
     validate_path_packing,
 )
 from rcgraph.construct import rainbow_color_random
-from rcgraph.rainbow import _verify_matrix, _verify_pairs
+from rcgraph.rainbow import _canonical_colorings, _verify_matrix, _verify_pairs
 
 from _oracles import (
     all_colorings,
@@ -35,6 +36,13 @@ from _oracles import (
     path_graph,
 )
 from _strategies import colored_graphs
+
+
+def long_rainbow_path(n: int = 1100):
+    """Path on n vertices whose edges carry the n - 1 distinct colors 1..n-1,
+    longer than the default recursion limit."""
+    g = path_graph(n)
+    return g, EdgeColoring.from_assignment(g, n - 1, range(1, n))
 
 
 def triangle_coloring(colors):
@@ -116,6 +124,10 @@ class TestEnumerateRainbowPaths:
         paths = enumerate_rainbow_paths(g, col, 0, g.n - 1, g.n)
         assert paths == sorted(paths, key=lambda q: (len(q), q))
 
+    def test_path_longer_than_recursion_limit(self):
+        g, col = long_rainbow_path()
+        assert enumerate_rainbow_paths(g, col, 0, g.n - 1, col.c) == [tuple(range(g.n))]
+
 
 class TestMaxDisjointRainbowPaths:
     def test_monochrome_triangle(self):
@@ -178,6 +190,13 @@ class TestIsRainbowKConnected:
         # pair (0, 2) is fine (path 0-1-2 is rainbow); (0, 3) is the first failure
         assert not ok and witness == (0, 3)
 
+    def test_pair_route_on_path_longer_than_recursion_limit(self):
+        g, col = long_rainbow_path()
+        colors = list(col.assignment)
+        colors[-1] = 1
+        recolored = EdgeColoring.from_assignment(g, col.c, colors)
+        assert is_rainbow_k_connected(g, recolored, 1) == (False, (0, g.n - 1))
+
     def test_rejects_coloring_of_other_graph(self):
         g = path_graph(3)
         other = Graph.from_edges(3, [(0, 1)])
@@ -220,6 +239,21 @@ class TestIsRainbowKConnected:
         result = _verify_matrix(g, col, 1)
         assert result == _verify_pairs(g, col, 1)
         assert not result.ok
+
+
+class TestCanonicalColorings:
+    @pytest.mark.parametrize("m", range(0, 7))
+    def test_matches_lexicographic_brute_force(self, m):
+        for c in range(0, m + 2):
+            expected = [
+                a
+                for a in itertools.product(range(1, c + 1), repeat=m)
+                if [x for i, x in enumerate(a) if x not in a[:i]] == list(range(1, c + 1))
+            ]
+            assert list(_canonical_colorings(m, c)) == expected
+
+    def test_more_edges_than_recursion_limit(self):
+        assert next(_canonical_colorings(1100, 1100)) == tuple(range(1, 1101))
 
 
 class TestRcExact:
