@@ -140,26 +140,42 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu.astype(np.int32), ju.astype(np.int32)
 
 
-def gnp_generate(n: int, p: float, seed: int) -> Graph:
-    """Sample an Erdos-Renyi G(n, p) graph, deterministically per (n, p, seed).
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
 
-    One uniform draw is made per vertex pair, in lexicographic pair order.
-    Because the draws depend only on (n, seed), thresholding the same draws
-    at p1 <= p2 yields nested edge sets (monotone coupling), which the
-    sweep harness exploits for exact monotonicity checks.
-    """
+
+def pair_draws(n: int, seed: int) -> np.ndarray:
+    """One uniform draw in [0, 1) per vertex pair, in lexicographic pair
+    order, deterministically per (n, seed)."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError("n must be an integer")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
     check_seed(seed)
+    return np.random.default_rng(int(seed)).random(int(n) * (int(n) - 1) // 2)
+
+
+def gnp_threshold(n: int, draws: np.ndarray, p: float) -> Graph:
+    """The graph on n vertices whose edges are the pairs with draw < p."""
+    _check_probability(p)
     iu, ju = _pair_indices(int(n))
-    draws = np.random.default_rng(int(seed)).random(iu.shape[0])
+    if draws.shape != iu.shape:
+        raise ValueError(f"expected {iu.shape[0]} pair draws for n={n}, got shape {draws.shape}")
     mask = draws < p
-    edge_array = np.column_stack((iu[mask], ju[mask]))
-    return Graph(int(n), edge_array)
+    return Graph(int(n), np.column_stack((iu[mask], ju[mask])))
+
+
+def gnp_generate(n: int, p: float, seed: int) -> Graph:
+    """Sample an Erdos-Renyi G(n, p) graph, deterministically per (n, p, seed).
+
+    The graph is ``gnp_threshold(n, pair_draws(n, seed), p)``. Because the
+    draws depend only on (n, seed), thresholding the same draws at
+    p1 <= p2 yields nested edge sets (monotone coupling), which the sweep
+    engine exploits to draw once per trial and bisect over p.
+    """
+    _check_probability(p)  # before drawing n^2/2 uniforms
+    return gnp_threshold(n, pair_draws(n, seed), p)
 
 
 def _bfs_distances(adj: tuple[tuple[int, ...], ...], source: int, n: int) -> list[int]:

@@ -270,23 +270,24 @@ def _max_disjoint_packing(paths: list[tuple[int, ...]], cap: int | None = None) 
 
     total = len(masks)
     found = best
-
-    def descend(start: int, used: int, count: int) -> bool:
-        nonlocal found
-        if count > found:
-            found = count
+    # Depth-first over explicit frames [next path index, used vertices,
+    # paths taken]; a frame is dropped once its remaining paths cannot
+    # beat the best packing found so far.
+    stack = [[0, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        j, used, count = frame
+        while j < total and count + (total - j) > found and masks[j] & used:
+            j += 1
+        if j == total or count + (total - j) <= found:
+            stack.pop()
+            continue
+        frame[0] = j + 1
+        if count + 1 > found:
+            found = count + 1
             if cap is not None and found >= cap:
-                return True
-        for j in range(start, total):
-            if count + (total - j) <= found:
                 break
-            if masks[j] & used:
-                continue
-            if descend(j + 1, used | masks[j], count + 1):
-                return True
-        return False
-
-    descend(0, 0, 0)
+        stack.append([j + 1, used | masks[j], count + 1])
     return found if cap is None else min(found, cap)
 
 

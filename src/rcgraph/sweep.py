@@ -7,8 +7,16 @@ is deliberately *not* mixed in: cells at the same (n, trial) then share
 their per-pair uniforms, so the generated graphs are nested across
 multipliers and per-pair colorings agree on shared edges. That coupling
 makes success monotone in the multiplier trial by trial, exactly.
-Any single (cell, trial) is replayable in isolation via
-:func:`run_trial` with the cell's realized probability.
+
+One driver runs every sweep, n -> trial -> p. It draws a trial's pair
+uniforms once and thresholds them at each distinct cell probability it
+visits. COLORING bisects over the sorted probabilities for the first
+that verifies, counts every higher one a success and every lower one a
+failure: ceil(log2(P + 1)) verifications per trial instead of P.
+DIAMETER and GROWTH evaluate every probability. Any single
+(cell, trial) is still replayable in isolation via :func:`run_trial`
+with the cell's realized probability, and gives the outcome the sweep
+counted.
 """
 
 from __future__ import annotations
@@ -17,14 +25,14 @@ import csv
 import enum
 import io
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .construct import GrowthFailure, grow_disjoint_paths, rainbow_color_random
-from .graphs import INFINITE, Graph, diameter, gnp_generate
+from .graphs import INFINITE, Graph, diameter, gnp_generate, gnp_threshold, pair_draws
 from .rainbow import is_rainbow_k_connected, validate_path_packing
 from .seeds import check_seed, mix64
 from .theory import sharp_threshold
@@ -61,8 +69,8 @@ class SweepConfig:
         object.__setattr__(self, "multipliers", tuple(float(m) for m in self.multipliers))
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ValueError("n_values must be non-empty with every n >= 2")
-        if not self.multipliers or any(m < 0 for m in self.multipliers):
-            raise ValueError("multipliers must be non-empty and nonnegative")
+        if not self.multipliers or not all(m >= 0 for m in self.multipliers):
+            raise ValueError("multipliers must be non-empty and nonnegative (not NaN)")
         if self.d < 2:
             raise ValueError(f"d must be at least 2, got {self.d}")
         if self.k < 1:
@@ -139,9 +147,8 @@ def default_branching(g: Graph) -> int:
     return max(1, (2 * g.m) // (10 * g.n))
 
 
-def run_trial(config: SweepConfig, n: int, trial: int, p: float) -> TrialOutcome:
-    """Run one trial standalone; this is the replay entry point."""
-    g = gnp_generate(n, p, graph_seed(config.seed, n, trial))
+def _evaluate(config: SweepConfig, n: int, trial: int, g: Graph) -> TrialOutcome:
+    """The outcome of one trial on its graph ``g``."""
     if config.mode is SweepMode.COLORING:
         col = rainbow_color_random(g, config.d, color_seed(config.seed, n, trial))
         return TrialOutcome(is_rainbow_k_connected(g, col, config.k).ok, None)
@@ -161,46 +168,91 @@ def run_trial(config: SweepConfig, n: int, trial: int, p: float) -> TrialOutcome
     return TrialOutcome(True, float(len(grown.paths)))
 
 
+def run_trial(config: SweepConfig, n: int, trial: int, p: float) -> TrialOutcome:
+    """Run one trial standalone; this is the replay entry point."""
+    return _evaluate(config, n, trial, gnp_generate(n, p, graph_seed(config.seed, n, trial)))
+
+
+def _trial_outcomes(
+    config: SweepConfig, n: int, trial: int, ps: Sequence[float]
+) -> list[TrialOutcome]:
+    """Outcomes of one trial at each of the ascending distinct probabilities
+    ``ps``, each equal to ``run_trial(config, n, trial, p)``."""
+    if len(ps) == 1:  # no draws to share: the trial is its own replay
+        return [run_trial(config, n, trial, ps[0])]
+    draws = pair_draws(n, graph_seed(config.seed, n, trial))
+
+    def at(i: int) -> TrialOutcome:
+        return _evaluate(config, n, trial, gnp_threshold(n, draws, ps[i]))
+
+    if config.mode is not SweepMode.COLORING:
+        return [at(i) for i in range(len(ps))]
+    # Graphs are nested in p and colors are keyed per pair, so COLORING
+    # success is monotone in p: bisect for the first success.
+    lo, hi = 0, len(ps)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if at(mid).success:
+            hi = mid
+        else:
+            lo = mid + 1
+    return [TrialOutcome(i >= lo, None) for i in range(len(ps))]
+
+
 def estimated_cell_cost(n: int, d: int) -> float:
     """Coarse verification-cost model: pair count times the path bound 2**d."""
     return n * (n - 1) / 2 * 2.0**d
 
 
+def _record(
+    config: SweepConfig, n: int, multiplier: float, p: float, clamped: bool,
+    outcomes: list[TrialOutcome],
+) -> SweepRecord:
+    """A cell's record; no outcomes means the cell was skipped."""
+    successes = sum(1 for o in outcomes if o.success)
+    auxes = [o.aux for o in outcomes if o.aux is not None]
+    return SweepRecord(
+        n, config.d, config.k, multiplier, p,
+        trials=len(outcomes),
+        successes=successes,
+        success_rate=successes / len(outcomes) if outcomes else 0.0,
+        aux_mean=sum(auxes) / len(auxes) if auxes else None,
+        clamped=clamped,
+        skipped=not outcomes,
+    )
+
+
+def _sweep(config: SweepConfig) -> list[tuple[SweepRecord, list[TrialOutcome]]]:
+    """The sweep driver: loops n -> trial -> p and returns every cell's
+    record with its per-trial outcomes, n-major in config order."""
+    cells = []
+    for n in config.n_values:
+        probs = [cell_probability(n, mult, config.d) for mult in config.multipliers]
+        if estimated_cell_cost(n, config.d) > config.cell_cost_budget:
+            columns: list[list[TrialOutcome]] = [[] for _ in probs]
+        else:
+            ps = sorted({p for p, _ in probs})
+            rows = [_trial_outcomes(config, n, t, ps) for t in range(config.trials)]
+            index = {p: i for i, p in enumerate(ps)}
+            columns = [[row[index[p]] for row in rows] for p, _ in probs]
+        for mult, (p, clamped), outcomes in zip(config.multipliers, probs, columns):
+            cells.append((_record(config, n, mult, p, clamped, outcomes), outcomes))
+    return cells
+
+
 def run_cell(
     config: SweepConfig, n: int, multiplier: float
 ) -> tuple[SweepRecord, list[TrialOutcome]]:
-    p, clamped = cell_probability(n, multiplier, config.d)
-    if estimated_cell_cost(n, config.d) > config.cell_cost_budget:
-        record = SweepRecord(
-            n, config.d, config.k, multiplier, p,
-            trials=0, successes=0, success_rate=0.0, aux_mean=None,
-            clamped=clamped, skipped=True,
-        )
-        return record, []
-    outcomes = [run_trial(config, n, t, p) for t in range(config.trials)]
-    successes = sum(1 for o in outcomes if o.success)
-    auxes = [o.aux for o in outcomes if o.aux is not None]
-    record = SweepRecord(
-        n, config.d, config.k, multiplier, p,
-        trials=config.trials,
-        successes=successes,
-        success_rate=successes / config.trials,
-        aux_mean=sum(auxes) / len(auxes) if auxes else None,
-        clamped=clamped,
-        skipped=False,
-    )
-    return record, outcomes
+    """One (n, multiplier) cell: its record and per-trial outcomes."""
+    (cell,) = _sweep(replace(config, n_values=(n,), multipliers=(multiplier,)))
+    return cell
 
 
 def run_threshold_sweep(config: SweepConfig) -> list[SweepRecord]:
     """COLORING or DIAMETER sweep over the whole (n, multiplier) grid."""
     if config.mode is SweepMode.GROWTH:
         raise ValueError("use run_growth_census for GROWTH mode")
-    return [
-        run_cell(config, n, mult)[0]
-        for n in config.n_values
-        for mult in config.multipliers
-    ]
+    return [record for record, _ in _sweep(config)]
 
 
 def run_growth_census(config: SweepConfig) -> list[SweepRecord]:
@@ -208,11 +260,7 @@ def run_growth_census(config: SweepConfig) -> list[SweepRecord]:
     record success (non-empty, re-verified packing) and its size."""
     if config.mode is not SweepMode.GROWTH:
         raise ValueError("run_growth_census requires GROWTH mode")
-    return [
-        run_cell(config, n, mult)[0]
-        for n in config.n_values
-        for mult in config.multipliers
-    ]
+    return [record for record, _ in _sweep(config)]
 
 
 _FLOAT_FIELDS = frozenset({"multiplier", "p", "success_rate", "aux_mean"})

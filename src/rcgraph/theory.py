@@ -45,6 +45,17 @@ def lower_probe(n: int, d: int) -> float:
     return math.log(n) ** (1.0 / d) / n ** ((d - 1.0) / d)
 
 
+def _path_factor(d: int, c0: float) -> float:
+    """2**(10 d) * c0, refused when it is not a finite float."""
+    try:
+        value = 2.0 ** (10 * d) * c0
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"2^(10 d) * c0 overflows a float at d={d}, c0={c0:g}")
+    return value
+
+
 @dataclass(frozen=True)
 class ThresholdParams:
     """Parameter bundle for the upper-threshold regime.
@@ -75,7 +86,7 @@ class ThresholdParams:
 
     @property
     def path_constant(self) -> float:
-        return 2.0 ** (10 * self.d) * self.c0
+        return _path_factor(self.d, self.c0)
 
     @property
     def k_within_regime(self) -> bool:
@@ -131,7 +142,7 @@ def failure_exponent(d: int, c0: float) -> float:
     _check_depth(d)
     if not c0 >= 1:
         raise ValueError(f"c0 must be at least 1, got {c0}")
-    c1 = 2.0 ** (10 * d) * c0
+    c1 = _path_factor(d, c0)
     return (c1 - c0) / 4.0**d - c1 * binary_entropy(c0 / c1)
 
 
@@ -142,7 +153,7 @@ def guaranteed_disjoint_paths(n: int, d: int, c0: float) -> float:
     _check_depth(d)
     if not c0 >= 1:
         raise ValueError(f"c0 must be at least 1, got {c0}")
-    return 2.0 ** (10 * d) * c0 * math.log2(n)
+    return _path_factor(d, c0) * math.log2(n)
 
 
 def choose_depth_from_epsilon(eps: float) -> int:

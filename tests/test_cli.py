@@ -107,6 +107,7 @@ def test_theory_overflow_is_usage_error(capsys):
     assert main(["theory", "--n", "100", "--d", "120"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "d=120" in err
 
 
 def test_rainbow_subcommand_accepts_and_reports(tmp_path, graph_file, capsys):

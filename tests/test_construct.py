@@ -156,6 +156,18 @@ class TestCountDisjointPaths:
     def test_path_longer_than_recursion_limit(self):
         assert count_disjoint_length_d_paths(path_graph(1100), 0, 1099, 1099) == 1
 
+    def test_packing_deeper_than_recursion_limit(self):
+        # 1000 disjoint paths 0-a_i-b_i-1; the cross path 0-a_0-b_1-1 sorts
+        # first and makes greedy first fit one short, so the exact packing
+        # search has to go 1000 paths deep.
+        edges = []
+        for i in range(1000):
+            a, b = 2 + i, 2001 - i
+            edges += [(0, a), (a, b), (b, 1)]
+        edges.append((2, 2000))
+        g = Graph.from_edges(2002, edges)
+        assert count_disjoint_length_d_paths(g, 0, 1, 3) == 1000
+
     @given(graph_pairs(min_n=4, max_n=9), st.integers(1, 4))
     @settings(max_examples=80, deadline=None)
     def test_matches_brute_force(self, gp, d):

@@ -12,7 +12,7 @@ from rcgraph import (
     gnp_generate,
     vertex_connectivity_at_least,
 )
-from rcgraph.graphs import _diameter_matrix
+from rcgraph.graphs import _diameter_matrix, gnp_threshold, pair_draws
 
 from _oracles import (
     brute_diameter,
@@ -106,6 +106,13 @@ class TestGnpGenerate:
             gnp_generate(5, -0.1, 0)
         with pytest.raises(ValueError):
             gnp_generate(5, 1.1, 0)
+        with pytest.raises(ValueError):
+            gnp_threshold(5, np.zeros(9), 0.5)  # 5 vertices have 10 pairs
+
+    def test_shared_draws_give_the_generated_graphs(self):
+        draws = pair_draws(60, 11)
+        for p in (0.0, 0.05, 0.3, 1.0):
+            assert gnp_threshold(60, draws, p) == gnp_generate(60, p, 11)
 
 
 class TestDiameter:

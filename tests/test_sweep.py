@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcgraph import (
     SweepConfig,
@@ -13,9 +15,12 @@ from rcgraph import (
     run_growth_census,
     run_threshold_sweep,
 )
+import rcgraph.sweep
 from rcgraph.sweep import (
     CSV_COLUMNS,
+    _sweep,
     cell_probability,
+    estimated_cell_cost,
     graph_seed,
     records_from_json,
     records_to_csv,
@@ -45,6 +50,8 @@ class TestConfig:
             coloring_config(n_values=())
         with pytest.raises(ValueError):
             coloring_config(multipliers=(-1.0,))
+        with pytest.raises(ValueError):
+            coloring_config(multipliers=(1.0, float("nan")))
         with pytest.raises(ValueError):
             coloring_config(trials=0)
         with pytest.raises(ValueError):
@@ -118,6 +125,57 @@ class TestColoringSweep:
     def test_budget_refusal_marks_cell_skipped(self):
         records = run_threshold_sweep(coloring_config(cell_cost_budget=10.0))
         assert all(rec.skipped and rec.trials == 0 and rec.successes == 0 for rec in records)
+
+
+@st.composite
+def engine_configs(draw):
+    """Small sweeps whose multipliers are unsorted, hold a duplicate and a
+    value whose p is clamped to 1, and whose larger n is sometimes skipped."""
+    ns = tuple(draw(st.lists(st.integers(40, 90), min_size=1, max_size=2)))
+    d = draw(st.sampled_from((2, 3)))
+    base = draw(st.lists(st.floats(0.0, 4.0), min_size=2, max_size=5))
+    multipliers = draw(st.permutations(base + [base[0], 1e3]))
+    budget = draw(st.sampled_from((1e10, estimated_cell_cost(min(ns), d))))
+    return SweepConfig(
+        n_values=ns, multipliers=tuple(multipliers), d=d,
+        k=draw(st.sampled_from((1, 2))), trials=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32)), mode=draw(st.sampled_from(SweepMode)),
+        cell_cost_budget=budget,
+    )
+
+
+class TestEngine:
+    @given(engine_configs())
+    @settings(max_examples=40, deadline=None)
+    def test_every_cell_and_trial_matches_run_trial(self, config):
+        cells = _sweep(config)
+        assert len(cells) == len(config.n_values) * len(config.multipliers)
+        for record, outcomes in cells:
+            if record.skipped:
+                assert outcomes == [] and record.n > min(config.n_values)
+                continue
+            assert len(outcomes) == record.trials == config.trials
+            for t, outcome in enumerate(outcomes):
+                assert run_trial(config, record.n, t, record.p) == outcome
+            assert record.successes == sum(o.success for o in outcomes)
+
+    def test_coloring_bisects_seven_multipliers_in_three_verifications(self, monkeypatch):
+        calls = []
+        verify = rcgraph.sweep.is_rainbow_k_connected
+
+        def counted(*args):
+            calls.append(1)
+            return verify(*args)
+
+        monkeypatch.setattr(rcgraph.sweep, "is_rainbow_k_connected", counted)
+        for seed in range(8):
+            calls.clear()
+            config = coloring_config(
+                n_values=(120,), multipliers=(0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
+                trials=1, seed=seed,
+            )
+            run_threshold_sweep(config)
+            assert 1 <= len(calls) <= 3
 
 
 class TestDiameterSweep:
