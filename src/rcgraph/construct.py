@@ -92,7 +92,8 @@ def grow_tree(
 
     Children are sampled uniformly without replacement from the eligible
     neighbors under ``seed``; with ``seed=None`` the lowest-index
-    neighbors are taken, for seed-free reproducibility.
+    neighbors are taken, for seed-free reproducibility. Only the neighbor
+    rows of expanded vertices are read, never the whole adjacency.
     """
     _check_pair(g, u, v)
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
@@ -100,14 +101,13 @@ def grow_tree(
     if not isinstance(b, int) or isinstance(b, bool) or b < 1:
         raise ValueError(f"branching b must be a positive integer, got {b}")
     rng = np.random.default_rng(check_seed(seed)) if seed is not None else None
-    adj = g.adj
     blocked = {u, v}
     levels: list[tuple[int, ...]] = [(u,)]
     parents: dict[int, int] = {}
     for level in range(1, d):
         grown: list[int] = []
         for x in levels[level - 1]:
-            eligible = [w for w in adj[x] if w not in blocked]
+            eligible = [w for w in g.neighbors(x).tolist() if w not in blocked]
             if len(eligible) < b:
                 return GrowthFailure(level, x, b, len(eligible))
             if rng is None:

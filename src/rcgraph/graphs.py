@@ -2,8 +2,14 @@
 
 Vertices are ``0..n-1``. Edges are stored canonically as an ``(m, 2)``
 int32 array of pairs ``(u, v)`` with ``u < v``, sorted lexicographically.
-Python-level views (edge tuples, adjacency lists, edge index) are built
-lazily so that array-based hot paths never pay for them. Graph values are
+Every neighbor lookup reads one compressed sparse row (CSR) index,
+``Graph.csr``, built from that array with numpy on first use: row ``x``
+lists the neighbors of ``x`` in increasing order next to the rows of
+``edge_array`` that join them. ``has_edge``, ``edge_id``, ``degree``
+and ``neighbors`` read single rows, so code that visits a few vertices
+never pays for the whole graph in Python objects. The Python views
+``adj`` and ``incidence`` are sliced from the CSR, and ``edges`` and
+``edge_set`` from ``edge_array``, each on first use. Graph values are
 immutable after construction and safe to share across threads.
 """
 
@@ -80,6 +86,38 @@ class Graph:
         return int(self.edge_array.shape[0])
 
     @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(indptr, nbrs, eids)`` neighbor index.
+
+        Row ``x`` is ``nbrs[indptr[x]:indptr[x + 1]]``, the neighbors of
+        ``x`` in increasing order; ``eids`` holds the ``edge_array`` row
+        of each of those edges.
+        """
+        n, arr = self.n, self.edge_array
+        lo, hi = arr[:, 0], arr[:, 1]
+        m = arr.shape[0]
+        below = np.bincount(hi, minlength=n)  # per vertex: neighbors below it
+        above = np.bincount(lo, minlength=n)  # per vertex: neighbors above it
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(below + above, out=indptr[1:])
+        # Row x holds its smaller neighbors, then its larger ones. Edges come
+        # sorted by lo, so a stable sort by hi lists every row's smaller
+        # neighbors in order; numpy sorts 16-bit keys by radix sort.
+        by_hi = np.argsort(hi.astype(np.uint16) if n <= 1 << 16 else hi, kind="stable")
+        ranks = np.arange(m)
+        small_slots = ranks + (np.cumsum(above) - above)[hi[by_hi]]
+        large_slots = ranks + np.cumsum(below)[lo]
+        nbrs = np.empty(2 * m, dtype=np.int32)
+        eids = np.empty(2 * m, dtype=np.intp)
+        nbrs[small_slots] = lo[by_hi]
+        eids[small_slots] = by_hi
+        nbrs[large_slots] = hi
+        eids[large_slots] = ranks
+        for a in (indptr, nbrs, eids):
+            a.flags.writeable = False
+        return indptr, nbrs, eids
+
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Canonical edge tuple: (u, v) with u < v, lexicographically sorted."""
         return tuple(map(tuple, self.edge_array.tolist()))
@@ -90,32 +128,44 @@ class Graph:
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex sorted neighbor tuples."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map from canonical pair (u, v), u < v, to its edge_array row."""
-        return {e: i for i, e in enumerate(self.edges)}
+        """Per-vertex sorted neighbor tuples, sliced from the CSR."""
+        indptr, nbrs, _ = self.csr
+        rows, bounds = nbrs.tolist(), indptr.tolist()
+        return tuple(tuple(rows[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex tuples of (neighbor, edge index), neighbors sorted."""
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(self.edges):
-            inc[u].append((v, i))
-            inc[v].append((u, i))
-        return tuple(tuple(sorted(b)) for b in inc)
+        indptr, nbrs, eids = self.csr
+        rows, ids, bounds = nbrs.tolist(), eids.tolist(), indptr.tolist()
+        return tuple(tuple(zip(rows[a:b], ids[a:b])) for a, b in zip(bounds, bounds[1:]))
+
+    def neighbors(self, u: int) -> np.ndarray:
+        """The sorted neighbors of u: a read-only row of the CSR."""
+        indptr, nbrs, _ = self.csr
+        return nbrs[indptr[u]:indptr[u + 1]]
+
+    def _arc(self, u: int, v: int) -> int:
+        """Position of v in row u of the CSR, or -1 when {u, v} is no edge."""
+        if not 0 <= u < self.n:
+            return -1
+        indptr, nbrs, _ = self.csr
+        start, stop = int(indptr[u]), int(indptr[u + 1])
+        i = start + int(np.searchsorted(nbrs[start:stop], v))
+        return i if i < stop and nbrs[i] == v else -1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_set
+        return self._arc(u, v) >= 0
+
+    def edge_id(self, u: int, v: int) -> int:
+        """The ``edge_array`` row of edge {u, v}; KeyError if it is no edge."""
+        arc = self._arc(u, v)
+        if arc < 0:
+            raise KeyError((u, v) if u < v else (v, u))
+        return int(self.csr[2][arc])
 
     def degree(self, u: int) -> int:
-        return len(self.adj[u])
+        return len(self.neighbors(u))
 
     @property
     def is_complete(self) -> bool:
@@ -322,9 +372,9 @@ def _disjoint_paths_at_least(g: Graph, s: int, t: int, k: int) -> bool:
     for v in range(n):
         if v != s and v != t:
             add_arc(2 * v, 2 * v + 1)
-    for u, v in g.edges:
-        add_arc(2 * u + 1, 2 * v)
-        add_arc(2 * v + 1, 2 * u)
+    for u, row in enumerate(g.adj):
+        for v in row:
+            add_arc(2 * u + 1, 2 * v)
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < k:
@@ -364,16 +414,16 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
         return False
     if k == 1:
         return True
-    if min(len(b) for b in g.adj) < k:
+    if np.diff(g.csr[0]).min() < k:
         return False
     if k == 2:
         return not _has_articulation_point(g)
     if g.is_complete:
         return True  # complete graphs have connectivity n - 1 >= k here
-    adjacency = g.edge_set
-    for u in range(n):
+    for u, row in enumerate(g.adj):
+        nbrs = set(row)
         for v in range(u + 1, n):
-            if (u, v) in adjacency:
+            if v in nbrs:
                 continue
             if not _disjoint_paths_at_least(g, u, v, k):
                 return False

@@ -113,8 +113,8 @@ class EdgeColoring:
         return tuple(1 << color for color in self.assignment)
 
     def color_of(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        return int(self.color_array[self.graph.edge_index[key]])
+        """Color of edge {u, v}; raises KeyError when it is not an edge."""
+        return int(self.color_array[self.graph.edge_id(u, v)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):

@@ -1,9 +1,10 @@
 """Independent brute-force oracles and small-graph enumerators.
 
 Everything here is deliberately naive and separate from the library's
-algorithms: plain BFS, path enumeration by extension, subset-enumeration
-packing, connectivity by pairwise path counting. These are the ground
-truth the fast implementations are tested against.
+algorithms: adjacency lists by one pass over the edges, plain BFS, path
+enumeration by extension, subset-enumeration packing, connectivity by
+pairwise path counting. These are the ground truth the fast
+implementations are tested against.
 """
 
 from __future__ import annotations
@@ -11,7 +12,40 @@ from __future__ import annotations
 from collections import deque
 from itertools import product
 
+import numpy as np
+
 from rcgraph import EdgeColoring, Graph
+
+
+def adjacency_lists(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Per-vertex sorted neighbor tuples, by one pass over the edges."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(tuple(sorted(b)) for b in nbrs)
+
+
+def incidence_lists(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per-vertex sorted (neighbor, edge index) tuples, by one pass over
+    the edges."""
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        inc[u].append((v, i))
+        inc[v].append((u, i))
+    return tuple(tuple(sorted(b)) for b in inc)
+
+
+def is_edge_subset(small: Graph, big: Graph) -> bool:
+    """Whether every edge of ``small`` is an edge of ``big``, on the same
+    vertex set, compared as int64 keys ``u * n + v`` of the edge arrays."""
+    if small.n != big.n:
+        return False
+
+    def keys(g: Graph) -> np.ndarray:
+        return g.edge_array[:, 0].astype(np.int64) * g.n + g.edge_array[:, 1]
+
+    return bool(np.isin(keys(small), keys(big), assume_unique=True).all())
 
 
 def bfs_distances(g: Graph, source: int) -> list[float]:

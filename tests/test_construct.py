@@ -26,6 +26,7 @@ from rcgraph import (
 from rcgraph.construct import TreeGrowth
 
 from _oracles import (
+    adjacency_lists,
     all_simple_paths,
     brute_max_disjoint,
     complete_graph,
@@ -137,6 +138,61 @@ class TestGrowDisjointPaths:
             return
         validate_path_packing(g, result, required_length=2)
         assert len(result.paths) <= count_disjoint_length_d_paths(g, u, v, 2)
+
+
+def edge_list_growth(g: Graph, u: int, v: int, d: int, b: int, seed: int | None):
+    """Tree growth and leaf closing as written over Python adjacency lists
+    and an edge set, the reference for the CSR-reading implementation."""
+    rng = np.random.default_rng(seed) if seed is not None else None
+    adj = adjacency_lists(g)
+    edges = set(g.edges)
+    blocked = {u, v}
+    levels: list[tuple[int, ...]] = [(u,)]
+    parents: dict[int, int] = {}
+    for level in range(1, d):
+        grown: list[int] = []
+        for x in levels[level - 1]:
+            eligible = [w for w in adj[x] if w not in blocked]
+            if len(eligible) < b:
+                failure = GrowthFailure(level, x, b, len(eligible))
+                return failure, failure
+            if rng is None:
+                chosen = eligible[:b]
+            else:
+                picks = rng.choice(len(eligible), size=b, replace=False)
+                chosen = [eligible[i] for i in picks]
+            for w in chosen:
+                parents[w] = x
+                blocked.add(w)
+                grown.append(w)
+        levels.append(tuple(grown))
+    tree = TreeGrowth(u, b, tuple(levels), parents)
+    chosen_leaf: dict[int, int] = {}
+    for leaf in tree.leaves:
+        if (min(leaf, v), max(leaf, v)) in edges:
+            root_w = tree.vice_tree_root(leaf)
+            if root_w not in chosen_leaf or leaf < chosen_leaf[root_w]:
+                chosen_leaf[root_w] = leaf
+    paths = sorted(tree.path_from_root(leaf) + (v,) for leaf in chosen_leaf.values())
+    return tree, PathPacking(u, v, tuple(paths))
+
+
+class TestGrowthMatchesEdgeListGrowth:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [0.02, 0.05, 0.3])
+    @pytest.mark.parametrize("seed", [None, 0, 12345])
+    def test_trees_and_packings_are_identical(self, d, p, seed):
+        g = gnp_generate(300, p, 17)
+        rng = np.random.default_rng(int(1000 * p) + d)
+        closed = 0
+        for _ in range(8):
+            u, v = (int(x) for x in rng.choice(300, size=2, replace=False))
+            for b in (2, 5):
+                tree, packing = edge_list_growth(g, u, v, d, b, seed)
+                assert grow_tree(g, u, v, d, b, seed) == tree
+                assert grow_disjoint_paths(g, u, v, d, b, seed) == packing
+                closed += isinstance(packing, PathPacking) and len(packing) > 0
+        assert closed or p < 0.05  # some leaves reach v, so closing is exercised
 
 
 class TestCountDisjointPaths:

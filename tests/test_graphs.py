@@ -12,14 +12,18 @@ from rcgraph import (
     gnp_generate,
     vertex_connectivity_at_least,
 )
+from rcgraph.construct import rainbow_color_random
 from rcgraph.graphs import _diameter_matrix, gnp_threshold, pair_draws
 
 from _oracles import (
+    adjacency_lists,
     brute_diameter,
     brute_vertex_connectivity_at_least,
     complete_graph,
     cycle_graph,
+    incidence_lists,
     is_connected,
+    is_edge_subset,
     path_graph,
 )
 from _strategies import graphs
@@ -67,6 +71,68 @@ class TestGraphType:
         assert not path_graph(3).is_complete
 
 
+def check_neighbor_index(g: Graph) -> None:
+    """The CSR and every lookup built on it, against the edge-loop oracle."""
+    indptr, nbrs, eids = g.csr
+    inc = incidence_lists(g)
+    assert indptr.shape == (g.n + 1,) and nbrs.shape == eids.shape == (2 * g.m,)
+    assert indptr[0] == 0 and indptr[-1] == 2 * g.m
+    for x in range(g.n):
+        row = slice(indptr[x], indptr[x + 1])
+        assert list(zip(nbrs[row].tolist(), eids[row].tolist())) == list(inc[x])
+    assert not (indptr.flags.writeable or nbrs.flags.writeable or eids.flags.writeable)
+    assert g.adj == adjacency_lists(g)
+    assert g.incidence == inc
+    assert [g.degree(x) for x in range(g.n)] == [len(b) for b in inc]
+    edges = set(g.edges)
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.has_edge(u, v) is ((min(u, v), max(u, v)) in edges)
+    col = rainbow_color_random(g, 5, 3)
+    for i, (u, v) in enumerate(g.edges):
+        assert g.edge_id(u, v) == g.edge_id(v, u) == i
+        assert col.color_of(u, v) == col.color_of(v, u) == col.color_array[i]
+    for u in range(g.n):
+        for v in range(u, g.n):
+            if (u, v) not in edges:
+                with pytest.raises(KeyError):
+                    col.color_of(u, v)
+
+
+class TestNeighborIndex:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph.from_edges(2, []),
+            Graph.from_edges(2, [(0, 1)]),
+            Graph.from_edges(7, []),
+            complete_graph(6),
+            Graph.from_edges(9, [(2, 5), (5, 6)]),  # isolated 0, 1, 3, 4, 7, 8
+            Graph.from_edges(6, [(0, 5), (2, 5), (4, 5)]),  # vertex n - 1 has neighbors
+            gnp_generate(40, 0.3, 2),
+        ],
+        ids=repr,
+    )
+    def test_edge_cases_match_oracle(self, g):
+        check_neighbor_index(g)
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=150)
+    def test_matches_oracle(self, g):
+        check_neighbor_index(g)
+
+    def test_neighbors_is_a_sorted_row(self):
+        g = Graph.from_edges(5, [(3, 1), (3, 4), (0, 3)])
+        assert g.neighbors(3).tolist() == [0, 1, 4]
+        assert g.neighbors(2).tolist() == []
+
+    def test_lookups_outside_the_vertex_range_find_no_edge(self):
+        g = complete_graph(4)
+        assert not g.has_edge(-1, 0) and not g.has_edge(0, 4) and not g.has_edge(4, 0)
+        with pytest.raises(KeyError):
+            rainbow_color_random(g, 2, 0).color_of(4, 0)
+
+
 class TestGnpGenerate:
     def test_p_one_gives_complete_graph(self):
         for seed in (0, 1, 99):
@@ -98,6 +164,20 @@ class TestGnpGenerate:
         g_lo = gnp_generate(n, lo, seed)
         g_hi = gnp_generate(n, hi, seed)
         assert g_lo.edge_set <= g_hi.edge_set
+
+    def test_edge_subset_check_rejects_non_nested_pairs(self):
+        small = Graph.from_edges(5, [(0, 1), (2, 4)])
+        assert is_edge_subset(small, Graph.from_edges(5, [(0, 1), (1, 2), (2, 4)]))
+        assert is_edge_subset(Graph.from_edges(5, []), small)
+        # one edge of small is missing from big, though big has more edges
+        assert not is_edge_subset(small, Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]))
+        assert not is_edge_subset(small, Graph.from_edges(5, [(0, 1)]))
+        assert not is_edge_subset(small, Graph.from_edges(6, [(0, 1), (2, 4)]))
+
+    @given(graphs(min_n=4, max_n=4), graphs(min_n=4, max_n=4))
+    @settings(max_examples=100)
+    def test_edge_subset_check_matches_edge_sets(self, a, b):
+        assert is_edge_subset(a, b) == (a.edge_set <= b.edge_set)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
