@@ -30,7 +30,7 @@ from .rainbow import (
     _simple_paths,
     is_rainbow_k_connected,
 )
-from .seeds import check_seed, mix64, splitmix64, splitmix64_array
+from .seeds import check_int, check_seed, mix64, splitmix64, splitmix64_array
 from .theory import choose_depth_from_epsilon
 
 
@@ -66,13 +66,6 @@ class TreeGrowth:
             x = self.parents[x]
         return x
 
-    def vice_trees(self) -> dict[int, tuple[int, ...]]:
-        """Map each depth-1 vertex to the leaves below it."""
-        groups: dict[int, list[int]] = {w: [] for w in self.levels[1]}
-        for leaf in self.leaves:
-            groups[self.vice_tree_root(leaf)].append(leaf)
-        return {w: tuple(leaves) for w, leaves in groups.items()}
-
 
 @dataclass(frozen=True)
 class GrowthFailure:
@@ -96,10 +89,7 @@ def grow_tree(
     rows of expanded vertices are read, never the whole adjacency.
     """
     _check_pair(g, u, v)
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError(f"depth d must be an integer >= 2, got {d}")
-    if not isinstance(b, int) or isinstance(b, bool) or b < 1:
-        raise ValueError(f"branching b must be a positive integer, got {b}")
+    d, b = check_int("depth d", d, 2), check_int("branching b", b, 1)
     rng = np.random.default_rng(check_seed(seed)) if seed is not None else None
     blocked = {u, v}
     levels: list[tuple[int, ...]] = [(u,)]
@@ -153,8 +143,7 @@ def count_disjoint_length_d_paths(
     length exactly d, via enumeration plus exact packing. Refuses
     instances whose enumerated path count exceeds ``path_budget``."""
     _check_pair(g, u, v)
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = check_int("d", d, 1)
     found: list[tuple[int, ...]] = []
     for q in _simple_paths(g, u, v, d, (0,) * g.m):
         if len(q) == d + 1:
@@ -181,9 +170,8 @@ def rainbow_color_random(g: Graph, c: int, seed: int) -> EdgeColoring:
     Colors are keyed by the edge's endpoints (see :func:`pair_color`), so
     two graphs sharing an edge and a seed agree on its color.
     """
-    if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-        raise ValueError(f"color count must be a positive integer, got {c}")
-    check_seed(seed)
+    c = check_int("color count c", c, 1)
+    seed = check_seed(seed)
     if g.m == 0:
         return EdgeColoring(g, c, np.empty(0, dtype=np.int32))
     base = np.uint64(splitmix64(seed))
@@ -245,10 +233,7 @@ def rainbow_k_color(
     returned coloring has been verified; an immediate NotKConnected
     diagnosis is returned when no coloring can exist.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if attempts < 1:
-        raise ValueError(f"attempts must be positive, got {attempts}")
+    k, attempts = check_int("k", k, 1), check_int("attempts", attempts, 1)
     check_seed(seed)
     if known_p is not None and not 0.0 < known_p <= 1.0:
         raise ValueError(f"known_p must lie in (0, 1], got {known_p}")

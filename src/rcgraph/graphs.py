@@ -8,9 +8,9 @@ lists the neighbors of ``x`` in increasing order next to the rows of
 ``edge_array`` that join them. ``has_edge``, ``edge_id``, ``degree``
 and ``neighbors`` read single rows, so code that visits a few vertices
 never pays for the whole graph in Python objects. The Python views
-``adj`` and ``incidence`` are sliced from the CSR, and ``edges`` and
-``edge_set`` from ``edge_array``, each on first use. Graph values are
-immutable after construction and safe to share across threads.
+``adj`` and ``incidence`` are sliced from the CSR, and ``edges`` from
+``edge_array``, each on first use. Graph values are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .seeds import check_seed
+from .seeds import check_int, check_seed
 
 #: Returned by :func:`diameter` for disconnected graphs. Compares greater
 #: than every finite distance; never a numeric overflow of some int type.
 INFINITE = math.inf
-
-# All-pairs BFS is faster than matrix squaring below this size.
-_BFS_CUTOFF = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,14 +43,10 @@ class Graph:
     edge_array: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise TypeError("vertex count n must be an integer")
-        if self.n < 2:
-            raise ValueError(f"graphs must have at least 2 vertices, got n={self.n}")
+        object.__setattr__(self, "n", check_int("vertex count n", self.n, 2))
         arr = np.asarray(self.edge_array, dtype=np.int32)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edge_array must have shape (m, 2)")
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "edge_array", arr)
         if arr.shape[0] == 0:
             return
@@ -121,10 +114,6 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Canonical edge tuple: (u, v) with u < v, lexicographically sorted."""
         return tuple(map(tuple, self.edge_array.tolist()))
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -198,22 +187,19 @@ def _check_probability(p: float) -> None:
 def pair_draws(n: int, seed: int) -> np.ndarray:
     """One uniform draw in [0, 1) per vertex pair, in lexicographic pair
     order, deterministically per (n, seed)."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise TypeError("n must be an integer")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    check_seed(seed)
-    return np.random.default_rng(int(seed)).random(int(n) * (int(n) - 1) // 2)
+    n = check_int("n", n, 2)
+    return np.random.default_rng(check_seed(seed)).random(n * (n - 1) // 2)
 
 
 def gnp_threshold(n: int, draws: np.ndarray, p: float) -> Graph:
     """The graph on n vertices whose edges are the pairs with draw < p."""
     _check_probability(p)
-    iu, ju = _pair_indices(int(n))
+    n = check_int("n", n, 2)
+    iu, ju = _pair_indices(n)
     if draws.shape != iu.shape:
         raise ValueError(f"expected {iu.shape[0]} pair draws for n={n}, got shape {draws.shape}")
     mask = draws < p
-    return Graph(int(n), np.column_stack((iu[mask], ju[mask])))
+    return Graph(n, np.column_stack((iu[mask], ju[mask])))
 
 
 def gnp_generate(n: int, p: float, seed: int) -> Graph:
@@ -242,26 +228,13 @@ def _bfs_distances(adj: tuple[tuple[int, ...], ...], source: int, n: int) -> lis
     return dist
 
 
-def _diameter_bfs(g: Graph) -> int | float:
-    adj = g.adj
-    best = 0
-    for source in range(g.n):
-        dist = _bfs_distances(adj, source, g.n)
-        far = max(dist)
-        if min(dist) < 0:
-            return INFINITE
-        best = max(best, far)
-    return best
-
-
-def _adjacency_bool(g: Graph, include_identity: bool = False) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=bool)
+def _reach_one_step(g: Graph) -> np.ndarray:
+    """Boolean n x n matrix of pairs at distance at most 1."""
+    a = np.eye(g.n, dtype=bool)
     if g.m:
         u, v = g.edge_array[:, 0], g.edge_array[:, 1]
         a[u, v] = True
         a[v, u] = True
-    if include_identity:
-        np.fill_diagonal(a, True)
     return a
 
 
@@ -269,22 +242,16 @@ def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
-def _reach_within(powers: list[np.ndarray], t: int) -> np.ndarray:
-    """Reachability within t steps from saved power-of-two reach matrices."""
-    acc: np.ndarray | None = None
-    bit = 0
-    while t:
-        if t & 1:
-            acc = powers[bit] if acc is None else _bool_matmul(acc, powers[bit])
-        t >>= 1
-        bit += 1
-    assert acc is not None
-    return acc
+def diameter(g: Graph) -> int | float:
+    """Largest shortest-path distance over all vertex pairs.
 
-
-def _diameter_matrix(g: Graph) -> int | float:
-    # powers[i] holds reachability within 2**i steps (identity included).
-    powers = [_adjacency_bool(g, include_identity=True)]
+    Returns :data:`INFINITE` iff the graph is disconnected. Squares the
+    boolean reach matrix until reach is total, then finds the last step
+    count whose reach is not total by binary lifting over the saved
+    powers: O(log D) float32 matrix products for diameter D.
+    """
+    # powers[i] holds reachability within 2**i steps.
+    powers = [_reach_one_step(g)]
     while not powers[-1].all():
         nxt = _bool_matmul(powers[-1], powers[-1])
         if np.array_equal(nxt, powers[-1]):
@@ -292,26 +259,14 @@ def _diameter_matrix(g: Graph) -> int | float:
         powers.append(nxt)
     if len(powers) == 1:
         return 1  # reach within one step is total: complete graph
-    lo = 1 << (len(powers) - 2)  # reach at lo known not total
-    hi = 1 << (len(powers) - 1)  # reach at hi known total
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _reach_within(powers, mid).all():
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def diameter(g: Graph) -> int | float:
-    """Largest shortest-path distance over all vertex pairs.
-
-    Returns :data:`INFINITE` iff the graph is disconnected. Uses all-pairs
-    BFS on small graphs and boolean matrix squaring on large ones.
-    """
-    if g.n <= _BFS_CUTOFF:
-        return _diameter_bfs(g)
-    return _diameter_matrix(g)
+    # Reach within `steps` is not total; extend it by every smaller power
+    # that keeps it so. One more step then reaches every pair.
+    steps, reach = 1 << (len(powers) - 2), powers[-2]
+    for bit in range(len(powers) - 3, -1, -1):
+        nxt = _bool_matmul(reach, powers[bit])
+        if not nxt.all():
+            steps, reach = steps + (1 << bit), nxt
+    return steps + 1
 
 
 def _is_connected(g: Graph) -> bool:
@@ -405,8 +360,7 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     k = 1 reduces to connectivity, k = 2 to biconnectivity; for k >= 3 a
     vertex-capacitated max flow is run per non-adjacent pair.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    k = check_int("k", k, 1)
     n = g.n
     if k > n - 1:
         return False

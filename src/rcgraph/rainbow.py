@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 import numpy as np
 
 from .graphs import INFINITE, Graph, diameter, vertex_connectivity_at_least
+from .seeds import check_int
 
 # Above this vertex count is_rainbow_k_connected uses the matrix route,
 # provided the color count keeps the subset DP affordable.
@@ -79,17 +80,13 @@ class EdgeColoring:
     color_array: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.c, (int, np.integer)) or isinstance(self.c, bool):
-            raise TypeError("color count c must be an integer")
-        if self.c < 1:
-            raise ValueError(f"color count must be positive, got {self.c}")
+        object.__setattr__(self, "c", check_int("color count c", self.c, 1))
         arr = np.asarray(self.color_array, dtype=np.int32)
         if arr.shape != (self.graph.m,):
             raise ValueError(
                 f"coloring has {arr.shape[0] if arr.ndim == 1 else '?'} entries "
                 f"for a graph with {self.graph.m} edges"
             )
-        object.__setattr__(self, "c", int(self.c))
         object.__setattr__(self, "color_array", arr)
         if arr.size and not ((arr >= 1) & (arr <= self.c)).all():
             raise ValueError(f"edge colors must lie in 1..{self.c}")
@@ -237,8 +234,7 @@ def enumerate_rainbow_paths(
     distinct edge colors, ordered by (length, vertex sequence)."""
     _check_pair(g, u, v)
     _check_coloring_for(g, col)
-    if max_len < 1:
-        raise ValueError(f"max_len must be positive, got {max_len}")
+    max_len = check_int("max_len", max_len, 1)
     paths = _simple_paths(g, u, v, min(max_len, col.c), col.color_bits)
     return sorted(paths, key=lambda q: (len(q), q))
 
@@ -298,8 +294,7 @@ def max_disjoint_rainbow_paths(
     vertex-disjoint rainbow u-v paths."""
     _check_pair(g, u, v)
     _check_coloring_for(g, col)
-    if k_target < 1:
-        raise ValueError(f"k_target must be positive, got {k_target}")
+    k_target = check_int("k_target", k_target, 1)
     paths = enumerate_rainbow_paths(g, col, u, v, col.c)
     return _max_disjoint_packing(paths, cap=k_target)
 
@@ -398,8 +393,7 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
     the lexicographically first pair with fewer than k internally
     vertex-disjoint rainbow paths.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    k = check_int("k", k, 1)
     _check_coloring_for(g, col)
     if g.n > _MATRIX_CUTOFF and col.c <= _MATRIX_MAX_COLORS:
         return _verify_matrix(g, col, k)
@@ -418,10 +412,6 @@ class RcResult:
 
     value: RcValue
     coloring: EdgeColoring | None
-
-    @property
-    def is_finite(self) -> bool:
-        return isinstance(self.value, int)
 
 
 def _canonical_colorings(m: int, c: int):
@@ -462,8 +452,7 @@ def rc_k_exact(
     the edge count, which always suffices for k-connected graphs),
     enumerating one canonical representative per color-permutation class.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    k = check_int("k", k, 1)
     if g.m > edge_budget:
         raise BudgetExceeded(
             f"graph has {g.m} edges, above the exact-search budget of {edge_budget}; "

@@ -17,13 +17,25 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def check_int(name: str, value: int, minimum: int) -> int:
+    """Validate an integer argument and return it as a plain int.
+
+    The package's one integer-input policy: an ``int`` or ``np.integer``,
+    never a ``bool``, else TypeError; below ``minimum``, ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if int(value) < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
 def check_seed(seed: int) -> int:
     """Validate an unsigned 64-bit seed and return it as a plain int."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    if not 0 <= int(seed) <= MASK64:
+    seed = check_int("seed", seed, 0)
+    if seed > MASK64:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
-    return int(seed)
+    return seed
 
 
 def splitmix64(x: int) -> int:

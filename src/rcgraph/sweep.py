@@ -34,7 +34,7 @@ import numpy as np
 from .construct import GrowthFailure, grow_disjoint_paths, rainbow_color_random
 from .graphs import INFINITE, Graph, diameter, gnp_generate, gnp_threshold, pair_draws
 from .rainbow import is_rainbow_k_connected, validate_path_packing
-from .seeds import check_seed, mix64
+from .seeds import check_int, check_seed, mix64
 from .theory import sharp_threshold
 
 _GRAPH_STREAM = 1
@@ -65,23 +65,19 @@ class SweepConfig:
     cell_cost_budget: float = 1e10
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", tuple(check_int("n", n, 2) for n in self.n_values))
         object.__setattr__(self, "multipliers", tuple(float(m) for m in self.multipliers))
-        if not self.n_values or any(n < 2 for n in self.n_values):
-            raise ValueError("n_values must be non-empty with every n >= 2")
+        if not self.n_values:
+            raise ValueError("n_values must be non-empty")
         if not self.multipliers or not all(m >= 0 for m in self.multipliers):
             raise ValueError("multipliers must be non-empty and nonnegative (not NaN)")
-        if self.d < 2:
-            raise ValueError(f"d must be at least 2, got {self.d}")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        check_seed(self.seed)
+        for name, minimum in (("d", 2), ("k", 1), ("trials", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not isinstance(self.mode, SweepMode):
             raise TypeError("mode must be a SweepMode")
-        if self.branching is not None and self.branching < 1:
-            raise ValueError(f"branching must be positive, got {self.branching}")
+        if self.branching is not None:
+            object.__setattr__(self, "branching", check_int("branching", self.branching, 1))
 
 
 @dataclass(frozen=True)
@@ -301,14 +297,6 @@ def records_to_json(records: Iterable[SweepRecord]) -> str:
             obj[name] = value
         objs.append(obj)
     return json.dumps(objs, indent=2) + "\n"
-
-
-def records_from_json(text: str) -> list[SweepRecord]:
-    out = []
-    for obj in json.loads(text):
-        kwargs = {name: obj[name] for name in CSV_COLUMNS}
-        out.append(SweepRecord(**kwargs))
-    return out
 
 
 def emit(records: Sequence[SweepRecord], format: str, destination) -> None:

@@ -15,33 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-
-def _check_size(n: int) -> None:
-    if not isinstance(n, (int,)) or isinstance(n, bool):
-        raise TypeError("n must be an integer")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-
-
-def _check_depth(d: int) -> None:
-    if not isinstance(d, (int,)) or isinstance(d, bool):
-        raise TypeError("d must be an integer")
-    if d < 2:
-        raise ValueError(f"depth d must be at least 2, got {d}")
+from .seeds import check_int
 
 
 def sharp_threshold(n: int, d: int) -> float:
     """(log2 n)^(1/d) / n^((d-1)/d), the sharp threshold scale for depth d."""
-    _check_size(n)
-    _check_depth(d)
+    n, d = check_int("n", n, 2), check_int("depth d", d, 2)
     return math.log2(n) ** (1.0 / d) / n ** ((d - 1.0) / d)
 
 
 def lower_probe(n: int, d: int) -> float:
     """(ln n)^(1/d) / n^((d-1)/d): at this edge probability the depth-d
     property still fails almost surely (natural log variant)."""
-    _check_size(n)
-    _check_depth(d)
+    n, d = check_int("n", n, 2), check_int("depth d", d, 2)
     return math.log(n) ** (1.0 / d) / n ** ((d - 1.0) / d)
 
 
@@ -73,10 +59,8 @@ class ThresholdParams:
     c0: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_size(self.n)
-        _check_depth(self.d)
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        for name, minimum in (("n", 2), ("d", 2), ("k", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         if not self.c0 >= 1:
             raise ValueError(f"c0 must be at least 1, got {self.c0}")
 
@@ -111,8 +95,7 @@ def upper_probe(params: ThresholdParams) -> UpperProbe:
 def rainbow_prob(d: int) -> float:
     """d!/d**d: probability that a fixed length-d path is rainbow under a
     uniform random d-coloring. Always at least 4**-d."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = check_int("d", d, 1)
     return math.factorial(d) / d**d
 
 
@@ -139,7 +122,7 @@ def failure_exponent(d: int, c0: float) -> float:
 
     Exceeds 100 for every d >= 2, c0 >= 1.
     """
-    _check_depth(d)
+    d = check_int("depth d", d, 2)
     if not c0 >= 1:
         raise ValueError(f"c0 must be at least 1, got {c0}")
     c1 = _path_factor(d, c0)
@@ -149,8 +132,7 @@ def failure_exponent(d: int, c0: float) -> float:
 def guaranteed_disjoint_paths(n: int, d: int, c0: float) -> float:
     """2**(10 d) * c0 * log2 n: how many internally vertex-disjoint
     length-d paths every vertex pair gets in the upper regime."""
-    _check_size(n)
-    _check_depth(d)
+    n, d = check_int("n", n, 2), check_int("depth d", d, 2)
     if not c0 >= 1:
         raise ValueError(f"c0 must be at least 1, got {c0}")
     return _path_factor(d, c0) * math.log2(n)

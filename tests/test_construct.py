@@ -60,9 +60,12 @@ class TestGrowTree:
 
     def test_vice_trees_partition_leaves(self):
         tree = grow_tree(complete_graph(30), 0, 29, d=3, b=3, seed=2)
-        groups = tree.vice_trees()
+        groups: dict[int, list[int]] = {}
+        for leaf in tree.leaves:
+            root = tree.vice_tree_root(leaf)
+            assert tree.path_from_root(leaf)[1] == root
+            groups.setdefault(root, []).append(leaf)
         assert set(groups) == set(tree.levels[1])
-        assert sorted(x for leaves in groups.values() for x in leaves) == sorted(tree.leaves)
         for leaves in groups.values():
             assert len(leaves) == 3  # b ** (d - 2)
 

@@ -13,7 +13,7 @@ from rcgraph import (
     vertex_connectivity_at_least,
 )
 from rcgraph.construct import rainbow_color_random
-from rcgraph.graphs import _diameter_matrix, gnp_threshold, pair_draws
+from rcgraph.graphs import gnp_threshold, pair_draws
 
 from _oracles import (
     adjacency_lists,
@@ -163,7 +163,7 @@ class TestGnpGenerate:
         lo, hi = min(p1, p2), max(p1, p2)
         g_lo = gnp_generate(n, lo, seed)
         g_hi = gnp_generate(n, hi, seed)
-        assert g_lo.edge_set <= g_hi.edge_set
+        assert set(g_lo.edges) <= set(g_hi.edges)
 
     def test_edge_subset_check_rejects_non_nested_pairs(self):
         small = Graph.from_edges(5, [(0, 1), (2, 4)])
@@ -177,7 +177,7 @@ class TestGnpGenerate:
     @given(graphs(min_n=4, max_n=4), graphs(min_n=4, max_n=4))
     @settings(max_examples=100)
     def test_edge_subset_check_matches_edge_sets(self, a, b):
-        assert is_edge_subset(a, b) == (a.edge_set <= b.edge_set)
+        assert is_edge_subset(a, b) == (set(a.edges) <= set(b.edges))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -220,11 +220,12 @@ class TestDiameter:
     @pytest.mark.parametrize("p", [0.02, 0.05, 0.3, 0.9])
     def test_matrix_route_matches_oracle_on_large_graphs(self, p):
         g = gnp_generate(90, p, 5)
-        assert _diameter_matrix(g) == brute_diameter(g)
+        assert diameter(g) == brute_diameter(g)
 
-    def test_matrix_route_long_path(self):
-        # diameter far above the first doubling steps
-        assert _diameter_matrix(path_graph(70)) == 69
+    @pytest.mark.parametrize("length", range(2, 131))
+    def test_matrix_route_long_path(self, length):
+        # every diameter up to 130, so binary lifting sets each of its bits
+        assert diameter(path_graph(length + 1)) == length
 
 
 class TestVertexConnectivity:

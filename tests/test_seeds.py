@@ -3,6 +3,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rcgraph import (
+    SweepConfig,
+    enumerate_rainbow_paths,
+    gnp_generate,
+    grow_tree,
+    is_rainbow_k_connected,
+    max_disjoint_rainbow_paths,
+    rainbow_color_random,
+    sharp_threshold,
+)
 from rcgraph.seeds import MASK64, check_seed, mix64, splitmix64, splitmix64_array
 
 
@@ -44,3 +54,43 @@ def test_check_seed_rejects_out_of_range(bad):
 def test_check_seed_rejects_non_integers(bad):
     with pytest.raises(TypeError):
         check_seed(bad)
+
+
+def _colored_graph():
+    g = gnp_generate(12, 0.6, 3)
+    return g, rainbow_color_random(g, 3, 1)
+
+
+def _sweep_config(**overrides):
+    return SweepConfig(**{"n_values": (100,), "multipliers": (1.0,), **overrides})
+
+
+_NON_INTEGER_CALLS = {
+    "verify-k-float": lambda g, col: is_rainbow_k_connected(g, col, 1.5),
+    "verify-k-bool": lambda g, col: is_rainbow_k_connected(g, col, True),
+    "packing-k_target-float": lambda g, col: max_disjoint_rainbow_paths(g, col, 0, 1, 1.5),
+    "paths-max_len-float": lambda g, col: enumerate_rainbow_paths(g, col, 0, 1, max_len=1.5),
+    "sweep-k-float": lambda g, col: _sweep_config(k=1.5),
+    "sweep-trials-bool": lambda g, col: _sweep_config(trials=True),
+    "sweep-n-float": lambda g, col: _sweep_config(n_values=(100.7,)),
+    "sweep-branching-float": lambda g, col: _sweep_config(branching=1.5),
+}
+
+
+@pytest.mark.parametrize("call", _NON_INTEGER_CALLS.values(), ids=_NON_INTEGER_CALLS.keys())
+def test_integer_arguments_reject_floats_and_bools(call):
+    with pytest.raises(TypeError):
+        call(*_colored_graph())
+
+
+_NUMPY_INTEGER_CALLS = {
+    "sharp_threshold-n": lambda g, two: sharp_threshold(two * 50, 2),
+    "grow_tree-d": lambda g, two: grow_tree(g, 0, 1, two, 2),
+    "rainbow_color_random-c": lambda g, two: rainbow_color_random(g, two, 1),
+}
+
+
+@pytest.mark.parametrize("call", _NUMPY_INTEGER_CALLS.values(), ids=_NUMPY_INTEGER_CALLS.keys())
+def test_numpy_integer_arguments_act_as_ints(call):
+    g, _ = _colored_graph()
+    assert call(g, np.int64(2)) == call(g, 2)

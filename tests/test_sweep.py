@@ -22,7 +22,6 @@ from rcgraph.sweep import (
     cell_probability,
     estimated_cell_cost,
     graph_seed,
-    records_from_json,
     records_to_csv,
     records_to_json,
     run_cell,
@@ -99,7 +98,7 @@ class TestColoringSweep:
                 for mult in config.multipliers
             ]
             for sparse, dense in zip(graphs, graphs[1:]):
-                assert sparse.edge_set <= dense.edge_set
+                assert set(sparse.edges) <= set(dense.edges)
 
     def test_coloring_success_implies_diameter_success(self):
         coloring = coloring_config(n_values=(60,), multipliers=(0.5, 1.0, 2.0), trials=15)
@@ -260,16 +259,6 @@ class TestEmission:
         )
         row = records_to_csv([rec]).splitlines()[1]
         assert row == "1000,2,1,0.333333,0.0988212,1,1,1,2.12346,true,false"
-
-    def test_json_round_trip_preserves_records(self):
-        config = coloring_config(trials=5)
-        records = run_threshold_sweep(config)
-        parsed = records_from_json(records_to_json(records))
-        assert records_to_json(parsed) == records_to_json(records)
-        for original, roundtripped in zip(records, parsed):
-            assert roundtripped.n == original.n
-            assert roundtripped.successes == original.successes
-            assert abs(roundtripped.p - original.p) <= 1e-5 * original.p
 
     def test_json_is_an_array_of_flat_objects(self):
         records = run_threshold_sweep(coloring_config(trials=3))
