@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen, color, verify, rck, grow, theory, sweep. Exit codes:
-0 success / verdict true, 1 verdict false, 2 usage error, 3 budget
-refusal.
+Subcommands: gen, color, verify, rck, grow, rainbow, theory, sweep.
+Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error,
+3 budget refusal.
 """
 
 from __future__ import annotations

@@ -214,20 +214,6 @@ def gnp_generate(n: int, p: float, seed: int) -> Graph:
     return gnp_threshold(n, pair_draws(n, seed), p)
 
 
-def _bfs_distances(adj: tuple[tuple[int, ...], ...], source: int, n: int) -> list[int]:
-    dist = [-1] * n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
-
-
 def _reach_one_step(g: Graph) -> np.ndarray:
     """Boolean n x n matrix of pairs at distance at most 1."""
     a = np.eye(g.n, dtype=bool)
@@ -269,44 +255,48 @@ def diameter(g: Graph) -> int | float:
     return steps + 1
 
 
-def _is_connected(g: Graph) -> bool:
-    dist = _bfs_distances(g.adj, 0, g.n)
-    return min(dist) >= 0
-
-
-def _has_articulation_point(g: Graph) -> bool:
-    """Iterative lowpoint DFS; assumes g is connected and n >= 3."""
-    adj = g.adj
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    timer = 0
-    root_children = 0
-    stack: list[tuple[int, int]] = [(0, 0)]  # (vertex, next neighbor offset)
-    disc[0] = low[0] = timer
-    timer += 1
+def _dfs_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """Preorder and tree parents of an iterative depth-first search from
+    vertex 0 over the CSR; each step descends to the first unseen vertex
+    in the unread rest of the top vertex's row."""
+    indptr, nbrs, _ = g.csr
+    parent = np.full(g.n, -1)  # the root is its own parent, so all seen are >= 0
+    parent[0] = 0
+    unread, ends = indptr[:-1].tolist(), indptr[1:].tolist()
+    order, stack = [0], [0]
     while stack:
-        u, off = stack[-1]
-        if off < len(adj[u]):
-            stack[-1] = (u, off + 1)
-            w = adj[u][off]
-            if disc[w] < 0:
-                parent[w] = u
-                if u == 0:
-                    root_children += 1
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, 0))
-            elif w != parent[u]:
-                low[u] = min(low[u], disc[w])
-        else:
+        x = stack[-1]
+        row = parent[nbrs[unread[x]:ends[x]]]  # -1 marks unseen vertices
+        i = int(row.argmin()) if row.size else 0
+        if not row.size or row[i] >= 0:  # nothing unseen left in the row
             stack.pop()
-            if stack:
-                pu = stack[-1][0]
-                low[pu] = min(low[pu], low[u])
-                if pu != 0 and low[u] >= disc[pu]:
-                    return True
+            continue
+        unread[x] += i + 1
+        w = int(nbrs[unread[x] - 1])
+        parent[w] = x
+        order.append(w)
+        stack.append(w)
+    return order, parent.tolist()
+
+
+def _has_cut_vertex(g: Graph, order: list[int], parent: list[int]) -> bool:
+    """Hopcroft-Tarjan lowpoint test on a spanning DFS tree; every row must
+    be non-empty. Lowpoints start as the least preorder number among the
+    neighbors (the parent arc may stay in: this tests cut vertices, not
+    bridges), then one reverse-preorder pass pulls them into the parents."""
+    indptr, nbrs, _ = g.csr
+    disc = np.empty(g.n, dtype=np.intp)
+    disc[order] = np.arange(g.n)
+    low = np.minimum.reduceat(disc[nbrs], indptr[:-1]).tolist()
+    disc = disc.tolist()
+    root_children = 0
+    for x in reversed(order[1:]):  # every child before its parent
+        p = parent[x]
+        if p == 0:
+            root_children += 1
+        elif low[x] >= disc[p]:
+            return True
+        low[p] = min(low[p], low[x])
     return root_children > 1
 
 
@@ -357,21 +347,24 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     """Exact decision: does every vertex pair have >= k internally
     vertex-disjoint connecting paths (equivalently, is g k-vertex-connected)?
 
-    k = 1 reduces to connectivity, k = 2 to biconnectivity; for k >= 3 a
-    vertex-capacitated max flow is run per non-adjacent pair.
+    One depth-first search over ``Graph.csr`` answers k = 1 and gates the
+    rest; k = 2 is the lowpoint cut-vertex test on its tree, so k <= 2
+    builds no Python view. For k >= 3 a vertex-capacitated max flow is
+    run per non-adjacent pair.
     """
     k = check_int("k", k, 1)
     n = g.n
     if k > n - 1:
         return False
-    if not _is_connected(g):
+    order, parent = _dfs_tree(g)
+    if len(order) < n:
         return False
     if k == 1:
         return True
     if np.diff(g.csr[0]).min() < k:
         return False
     if k == 2:
-        return not _has_articulation_point(g)
+        return not _has_cut_vertex(g, order, parent)
     if g.is_complete:
         return True  # complete graphs have connectivity n - 1 >= k here
     for u, row in enumerate(g.adj):

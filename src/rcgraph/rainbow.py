@@ -7,19 +7,23 @@ internally vertex-disjoint rainbow paths. This module decides that
 exactly, and provides a brute-force oracle for the minimum color count
 on small graphs.
 
-Verification runs per pair on small graphs; on large graphs it switches
-to boolean matrix algebra over per-color adjacency planes, falling back
-to the exact per-pair search only for pairs the length-2 packing bound
-cannot settle. One iterative enumerator of simple paths, ``_simple_paths``,
-serves the per-pair verification, that fallback, and the length-d path
-count in :mod:`rcgraph.construct`.
+Small graphs are verified pair by pair. Large graphs use matrix algebra
+over per-color planes: rainbow reach at k = 1, else an exact count of
+disjoint rainbow paths of length <= 2; pairs left below k go by c:
+
+    c <= 2   count matrix: no rainbow path is longer, so they fail
+    c = 3    matching count, ``_matching_count``, per pair
+    c >= 4   per-pair search: path enumeration plus set packing
+
+One iterative enumerator of simple paths, ``_simple_paths``, serves the
+per-pair routes and the length-d path count in :mod:`rcgraph.construct`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cached_property, partial, total_ordering
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -249,20 +253,18 @@ def _max_disjoint_packing(paths: list[tuple[int, ...]], cap: int | None = None) 
     if not paths:
         return 0
     masks: list[int] = []
+    best = 0
+    used = 0
     for q in paths:
         mk = 0
         for w in q[1:-1]:
             mk |= 1 << w
         masks.append(mk)
-
-    best = 0
-    used = 0
-    for mk in masks:
         if not mk & used:
             used |= mk
             best += 1
-    if cap is not None and best >= cap:
-        return cap
+            if cap is not None and best >= cap:
+                return cap
 
     total = len(masks)
     found = best
@@ -339,6 +341,36 @@ def _rainbow_reach(planes: np.ndarray) -> np.ndarray:
     return prev[(1 << c) - 1]
 
 
+def _color_matrix(g: Graph, col: EdgeColoring) -> np.ndarray:
+    """n x n int8 matrix of edge colors, 0 off the edges."""
+    colors = np.zeros((g.n, g.n), dtype=np.int8)
+    u, v = g.edge_array[:, 0], g.edge_array[:, 1]
+    colors[u, v] = colors[v, u] = col.color_array
+    return colors
+
+
+def _matching_count(colors: np.ndarray, u: int, v: int, k: int) -> int:
+    """min(k, M(u, v)) under a 3-coloring given as its color matrix:
+    M = [uv in E] + |S| + nu(H - S), S the middles w of rainbow paths
+    u-w-v and nu the matching number of H, which joins a and b when
+    u-a-b-v is rainbow. An optimal packing can take all of S, as a 3-edge
+    path through w in S may be swapped for u-w-v."""
+    cu, cv = colors[u], colors[v]
+    near_u, near_v = cu > 0, cv > 0
+    middles = near_u & near_v & (cu != cv)
+    found = int(near_u[v]) + int(np.count_nonzero(middles))
+    if found >= k:
+        return k
+    near_u[v] = near_v[u] = False
+    a = np.flatnonzero(near_u & ~middles)
+    b = np.flatnonzero(near_v & ~middles)
+    ca, cb = cu[a][:, None], cv[b]
+    # Rainbow iff the end colors differ and the middle edge has the third.
+    i, j = np.nonzero((colors[np.ix_(a, b)] == 6 - ca - cb) & (ca != cb))
+    paths = [(u, x, y, v) for x, y in zip(a[i].tolist(), b[j].tolist())]
+    return found + _max_disjoint_packing(paths, cap=k - found)
+
+
 def _first_failing_pair(ok: np.ndarray) -> VerifyResult:
     bad = ~ok
     bad[np.tril_indices(ok.shape[0])] = False
@@ -368,9 +400,13 @@ def _verify_matrix(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
         return _first_failing_pair(enough)
     pending = ~enough
     pending[np.tril_indices(g.n)] = False
-    for u, v in np.argwhere(pending):
-        if max_disjoint_rainbow_paths(g, col, int(u), int(v), k) < k:
-            return VerifyResult(False, (int(u), int(v)))
+    if col.c == 3:
+        count = partial(_matching_count, _color_matrix(g, col))
+    else:
+        count = partial(max_disjoint_rainbow_paths, g, col)
+    for u, v in np.argwhere(pending).tolist():
+        if count(u, v, k) < k:
+            return VerifyResult(False, (u, v))
     return VerifyResult(True, None)
 
 

@@ -17,6 +17,7 @@ from rcgraph.graphs import gnp_threshold, pair_draws
 
 from _oracles import (
     adjacency_lists,
+    all_labeled_graphs,
     brute_diameter,
     brute_vertex_connectivity_at_least,
     complete_graph,
@@ -24,6 +25,7 @@ from _oracles import (
     incidence_lists,
     is_connected,
     is_edge_subset,
+    is_two_connected,
     path_graph,
 )
 from _strategies import graphs
@@ -260,3 +262,47 @@ class TestVertexConnectivity:
     def test_k1_iff_finite_diameter(self, g):
         assert vertex_connectivity_at_least(g, 1) == (diameter(g) != INFINITE)
         assert vertex_connectivity_at_least(g, 1) == is_connected(g)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_every_small_labeled_graph_matches_brute_oracle(self, n):
+        for g in all_labeled_graphs(n):
+            for k in (1, 2):
+                assert vertex_connectivity_at_least(g, k) == brute_vertex_connectivity_at_least(g, k)
+
+    @given(n=st.integers(3, 40), scale=st.floats(0.3, 3.0), seed=st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_k2_matches_remove_one_vertex_oracle(self, n, scale, seed):
+        g = gnp_generate(n, min(1.0, scale * math.log(n) / n), seed)
+        assert vertex_connectivity_at_least(g, 1) == is_connected(g)
+        assert vertex_connectivity_at_least(g, 2) == is_two_connected(g)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # two triangles sharing the DFS root 0
+            [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)],
+            # two 4-cycles sharing vertex 3
+            [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6), (3, 6)],
+        ],
+        ids=["cut-at-root", "cycles-sharing-a-vertex"],
+    )
+    def test_cut_vertex_with_min_degree_two(self, edges):
+        g = Graph.from_edges(max(map(max, edges)) + 1, edges)
+        assert vertex_connectivity_at_least(g, 1)
+        assert not vertex_connectivity_at_least(g, 2)
+
+    def test_two_disjoint_triangles(self):
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert not vertex_connectivity_at_least(g, 1)
+        assert not vertex_connectivity_at_least(g, 2)
+
+    def test_long_cycle_beyond_the_recursion_limit(self):
+        g = cycle_graph(3000)
+        assert vertex_connectivity_at_least(g, 2)
+        assert not vertex_connectivity_at_least(path_graph(3000), 2)
+
+    def test_k_up_to_two_builds_no_python_views(self):
+        for g in (gnp_generate(60, 0.2, 1), cycle_graph(8), path_graph(5)):
+            for k in (1, 2):
+                vertex_connectivity_at_least(g, k)
+            assert "adj" not in g.__dict__ and "incidence" not in g.__dict__

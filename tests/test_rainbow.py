@@ -22,7 +22,14 @@ from rcgraph import (
     validate_path_packing,
 )
 from rcgraph.construct import rainbow_color_random
-from rcgraph.rainbow import _canonical_colorings, _verify_matrix, _verify_pairs
+from rcgraph import rainbow
+from rcgraph.rainbow import (
+    _canonical_colorings,
+    _color_matrix,
+    _matching_count,
+    _verify_matrix,
+    _verify_pairs,
+)
 
 from _oracles import (
     all_colorings,
@@ -45,10 +52,16 @@ def long_rainbow_path(n: int = 1100):
     return g, EdgeColoring.from_assignment(g, n - 1, range(1, n))
 
 
+def colored_by_edge(n, colored_edges):
+    """Graph and coloring from a {(u, v): color} dict; c is the largest color."""
+    g = Graph.from_edges(n, colored_edges)
+    by_edge = {(min(e), max(e)): c for e, c in colored_edges.items()}
+    c = max(by_edge.values())
+    return g, EdgeColoring.from_assignment(g, c, [by_edge[e] for e in g.edges])
+
+
 def triangle_coloring(colors):
-    g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-    by_edge = dict(zip(((0, 1), (0, 2), (1, 2)), colors))
-    return g, EdgeColoring.from_assignment(g, max(colors), [by_edge[e] for e in g.edges])
+    return colored_by_edge(3, dict(zip(((0, 1), (0, 2), (1, 2)), colors)))
 
 
 class TestEdgeColoring:
@@ -239,6 +252,79 @@ class TestIsRainbowKConnected:
         result = _verify_matrix(g, col, 1)
         assert result == _verify_pairs(g, col, 1)
         assert not result.ok
+
+
+class TestMatchingCount:
+    """The c = 3 count [uv in E] + |S| + nu(H - S) of the matrix route."""
+
+    @given(
+        n=st.integers(8, 30),
+        p=st.floats(0.1, 0.5),
+        seed=st.integers(0, 2**32),
+        k=st.sampled_from([1, 2, 3, 5, 50]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_path_packing(self, n, p, seed, k, data):
+        g = gnp_generate(n, p, seed)
+        col = rainbow_color_random(g, 3, seed)
+        colors = _color_matrix(g, col)
+        for _ in range(5):
+            u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            assert _matching_count(colors, u, v, k) == max_disjoint_rainbow_paths(g, col, u, v, k)
+
+    def test_enough_middles_exit_before_the_matching(self, monkeypatch):
+        # Vertices 2, 3, 4 are middles of rainbow paths 0-w-1.
+        g, col = colored_by_edge(
+            5, {(0, 1): 1, (0, 2): 1, (2, 1): 2, (0, 3): 2, (3, 1): 3, (0, 4): 3, (4, 1): 1}
+        )
+
+        def no_matching(*args, **kwargs):
+            raise AssertionError("the matching ran although |S| >= k")
+
+        monkeypatch.setattr(rainbow, "_max_disjoint_packing", no_matching)
+        for k in (1, 2, 3, 4):
+            assert _matching_count(_color_matrix(g, col), 0, 1, k) == k
+
+    def test_equal_colored_common_neighbor_is_a_matching_endpoint(self):
+        # 0-2-1 repeats color 1, so 2 is no middle, but 0-2-3-1 is rainbow.
+        g, col = colored_by_edge(4, {(0, 2): 1, (2, 1): 1, (2, 3): 2, (3, 1): 3})
+        colors = _color_matrix(g, col)
+        assert _matching_count(colors, 0, 1, 1) == 1
+        assert _matching_count(colors, 0, 1, 2) == 1
+        assert max_disjoint_rainbow_paths(g, col, 0, 1, 2) == 1
+
+    def test_matching_beats_greedy_first_fit(self):
+        # H has edges {2, 3}, {2, 4}, {3, 5} in that order. First fit takes
+        # {2, 3} and blocks the other two; the maximum matching is 2.
+        g, col = colored_by_edge(
+            6, {(0, 2): 1, (0, 3): 3, (1, 3): 3, (1, 4): 3, (1, 5): 2, (2, 3): 2, (2, 4): 2,
+                (3, 5): 1}
+        )
+        paths = enumerate_rainbow_paths(g, col, 0, 1, 3)
+        assert paths == [(0, 2, 3, 1), (0, 2, 4, 1), (0, 3, 5, 1)]
+        assert _matching_count(_color_matrix(g, col), 0, 1, 2) == 2
+        assert brute_max_disjoint_rainbow(g, col, 0, 1) == 2
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matrix_route_matches_pair_route(self, k, monkeypatch):
+        pending = []
+
+        def counted(*args):
+            pending[-1] += 1
+            return _matching_count(*args)
+
+        monkeypatch.setattr(rainbow, "_matching_count", counted)
+        verdicts = set()
+        for seed in range(4):
+            g = gnp_generate(36, 0.4, seed)
+            col = rainbow_color_random(g, 3, seed + 100)
+            pending.append(0)
+            result = _verify_matrix(g, col, k)
+            assert result == _verify_pairs(g, col, k)
+            assert pending[-1] > 0
+            verdicts.add(result.ok)
+        assert verdicts == {True, False}
 
 
 class TestCanonicalColorings:
