@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .construct import (
@@ -168,21 +169,22 @@ def _cmd_rainbow(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # Grid flags default to None, so SweepConfig alone holds the defaults.
+    flags = {field.name: getattr(args, field.name, None) for field in fields(SweepConfig)}
+    given = {name: value for name, value in flags.items() if value is not None}
     if args.config is not None:
+        if given:
+            named = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValueError(f"--config sets the whole sweep; drop {named}")
         config = parse_config_text(Path(args.config).read_text())
     else:
         if args.n_values is None or args.multipliers is None:
             raise ValueError("sweep needs --config or both --n-values and --multipliers")
-        config = SweepConfig(
-            n_values=tuple(int(t) for t in args.n_values.split(",")),
-            multipliers=tuple(float(t) for t in args.multipliers.split(",")),
-            d=args.d,
-            k=args.k,
-            trials=args.trials,
-            seed=args.seed,
-            mode=SweepMode(args.mode),
-            branching=args.branching,
-        )
+        given["n_values"] = tuple(int(t) for t in args.n_values.split(","))
+        given["multipliers"] = tuple(float(t) for t in args.multipliers.split(","))
+        if args.mode is not None:
+            given["mode"] = SweepMode(args.mode)
+        config = SweepConfig(**given)
     if config.mode is SweepMode.GROWTH:
         records = run_growth_census(config)
     else:
@@ -259,12 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--n-values", help="comma-separated sizes")
     p.add_argument("--multipliers", help="comma-separated threshold multipliers")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=[m.value for m in SweepMode], default="coloring")
-    p.add_argument("--branching", type=int, default=None)
+    p.add_argument("--d", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--mode", choices=[m.value for m in SweepMode])
+    p.add_argument("--branching", type=int)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)

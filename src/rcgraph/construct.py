@@ -144,6 +144,7 @@ def count_disjoint_length_d_paths(
     instances whose enumerated path count exceeds ``path_budget``."""
     _check_pair(g, u, v)
     d = check_int("d", d, 1)
+    path_budget = check_int("path_budget", path_budget, 0)
     found: list[tuple[int, ...]] = []
     for q in _simple_paths(g, u, v, d, (0,) * g.m):
         if len(q) == d + 1:

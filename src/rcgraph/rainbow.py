@@ -7,9 +7,10 @@ internally vertex-disjoint rainbow paths. This module decides that
 exactly, and provides a brute-force oracle for the minimum color count
 on small graphs.
 
-Small graphs are verified pair by pair. Large graphs use matrix algebra
-over per-color planes: rainbow reach at k = 1, else an exact count of
-disjoint rainbow paths of length <= 2; pairs left below k go by c:
+Colorings with more than 6 colors, and those :func:`rc_k_exact` tries,
+are verified pair by pair. Others use matrix algebra over per-color
+planes: an exact count of disjoint rainbow paths of length <= 2, or
+rainbow reach at k = 1 with c >= 3. Pairs left below k go by c:
 
     c <= 2   count matrix: no rainbow path is longer, so they fail
     c = 3    matching count, ``_matching_count``, per pair
@@ -32,9 +33,8 @@ import numpy as np
 from .graphs import INFINITE, Graph, diameter, vertex_connectivity_at_least
 from .seeds import check_int
 
-# Above this vertex count is_rainbow_k_connected uses the matrix route,
-# provided the color count keeps the subset DP affordable.
-_MATRIX_CUTOFF = 32
+# Up to this color count is_rainbow_k_connected uses the matrix route,
+# whose subset DP costs c * 2**(c - 1) products.
 _MATRIX_MAX_COLORS = 6
 
 
@@ -321,11 +321,6 @@ def _rainbow_reach(planes: np.ndarray) -> np.ndarray:
     """
     c, n, _ = planes.shape
     eye = np.eye(n, dtype=bool)
-    if c == 1:
-        return eye | (planes[0] > 0)
-    if c == 2:
-        mixed = planes[0] @ planes[1] > 0
-        return eye | (planes[0] > 0) | (planes[1] > 0) | mixed | mixed.T
     prev: dict[int, np.ndarray] = {0: eye}
     for size in range(1, c + 1):
         level: dict[int, np.ndarray] = {}
@@ -371,40 +366,42 @@ def _matching_count(colors: np.ndarray, u: int, v: int, k: int) -> int:
     return found + _max_disjoint_packing(paths, cap=k - found)
 
 
+def _length2_counts(planes: np.ndarray) -> np.ndarray:
+    """Exact count of disjoint rainbow paths of length <= 2 per pair,
+    A + M + M^T with M the sum over i < j of P_i P_j: c - 1 products over
+    suffix sums built in place, which leave plane 0 as A. Float32 is
+    exact, as counts stay far below 2**24."""
+    mixed = np.zeros_like(planes[0])
+    for i in range(len(planes) - 2, -1, -1):
+        mixed += planes[i] @ planes[i + 1]
+        planes[i] += planes[i + 1]
+    planes[0] += mixed
+    planes[0] += mixed.T
+    return planes[0]
+
+
 def _first_failing_pair(ok: np.ndarray) -> VerifyResult:
-    bad = ~ok
-    bad[np.tril_indices(ok.shape[0])] = False
-    hits = np.argwhere(bad)
-    if hits.size == 0:
+    bad = np.triu(~ok, 1)
+    first = int(bad.argmax())
+    if not bad.flat[first]:
         return VerifyResult(True, None)
-    u, v = hits[0]
-    return VerifyResult(False, (int(u), int(v)))
+    return VerifyResult(False, divmod(first, ok.shape[0]))
 
 
 def _verify_matrix(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
     planes = _color_planes(g, col)
-    if k == 1:
+    if k == 1 and col.c >= 3:
         return _first_failing_pair(_rainbow_reach(planes))
-    # Exact count of internally disjoint rainbow paths of length <= 2:
-    # the direct edge plus one path per common neighbor joined by two
-    # distinct colors. Counts stay far below 2**24, so float32 is exact.
-    adjacency = planes.sum(axis=0)
-    mixed = adjacency @ adjacency
-    for plane in planes:
-        mixed -= plane @ plane
-    counts = adjacency + mixed
-    enough = counts >= k
+    enough = _length2_counts(planes) >= k
     if col.c <= 2:
         # No rainbow path can exceed c edges, so the length-2 packing is
         # the whole truth and unsettled pairs are genuine failures.
         return _first_failing_pair(enough)
-    pending = ~enough
-    pending[np.tril_indices(g.n)] = False
     if col.c == 3:
         count = partial(_matching_count, _color_matrix(g, col))
     else:
         count = partial(max_disjoint_rainbow_paths, g, col)
-    for u, v in np.argwhere(pending).tolist():
+    for u, v in np.argwhere(np.triu(~enough, 1)).tolist():
         if count(u, v, k) < k:
             return VerifyResult(False, (u, v))
     return VerifyResult(True, None)
@@ -427,11 +424,12 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
 
     Returns ``(True, None)`` or ``(False, witness)`` where the witness is
     the lexicographically first pair with fewer than k internally
-    vertex-disjoint rainbow paths.
+    vertex-disjoint rainbow paths. Colorings with at most 6 colors take
+    the matrix route at every n; more colors go pair by pair.
     """
     k = check_int("k", k, 1)
     _check_coloring_for(g, col)
-    if g.n > _MATRIX_CUTOFF and col.c <= _MATRIX_MAX_COLORS:
+    if col.c <= _MATRIX_MAX_COLORS:
         return _verify_matrix(g, col, k)
     return _verify_pairs(g, col, k)
 
@@ -489,6 +487,8 @@ def rc_k_exact(
     enumerating one canonical representative per color-permutation class.
     """
     k = check_int("k", k, 1)
+    edge_budget = check_int("edge_budget", edge_budget, 0)
+    max_colors = g.m if max_colors is None else check_int("max_colors", max_colors, 1)
     if g.m > edge_budget:
         raise BudgetExceeded(
             f"graph has {g.m} edges, above the exact-search budget of {edge_budget}; "
@@ -496,12 +496,11 @@ def rc_k_exact(
         )
     if not vertex_connectivity_at_least(g, k):
         return RcResult(INFINITE, None)
-    if max_colors is None:
-        max_colors = g.m
     lower = max(int(diameter(g)), 1)  # finite: the graph is connected here
     for c in range(lower, max_colors + 1):
         for assignment in _canonical_colorings(g.m, c):
             col = EdgeColoring(g, c, np.array(assignment, dtype=np.int32))
-            if is_rainbow_k_connected(g, col, k).ok:
+            # Pair by pair: most of these tiny colorings fail at an early pair.
+            if _verify_pairs(g, col, k).ok:
                 return RcResult(c, col)
     return RcResult(EXCEEDS, None)

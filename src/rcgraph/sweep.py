@@ -315,10 +315,7 @@ def emit(records: Sequence[SweepRecord], format: str, destination) -> None:
             handle.write(text)
 
 
-_CONFIG_KEYS = {
-    "n_values", "multipliers", "d", "k", "trials", "seed", "mode",
-    "branching", "cell_cost_budget",
-}
+_CONFIG_KEYS = {field.name for field in fields(SweepConfig)}
 
 
 def parse_config_text(text: str) -> SweepConfig:

@@ -161,6 +161,34 @@ def test_sweep_growth_mode(capsys):
     assert out.splitlines()[1].endswith("true,false")  # clamped cell
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--d", "3"), ("--k", "2"), ("--trials", "7"), ("--seed", "0"), ("--mode", "coloring"),
+    ("--branching", "4"), ("--n-values", "40"), ("--multipliers", "2"),
+])
+def test_sweep_config_refuses_grid_flags(tmp_path, capsys, flag, value):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("n_values = 32\nmultipliers = 1\ntrials = 2\n")
+    assert main(["sweep", "--config", str(config), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+
+
+def test_sweep_omitted_flags_match_config_defaults(tmp_path):
+    base = ["sweep", "--n-values", "40", "--multipliers", "0.5,2"]
+    defaults = ["--d", "2", "--k", "1", "--trials", "50", "--seed", "0", "--mode", "coloring"]
+    omitted, explicit = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(base + ["--out", str(omitted)]) == 0
+    assert main(base + defaults + ["--out", str(explicit)]) == 0
+    assert omitted.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_rck_max_colors_below_one_is_usage_error(graph_file, capsys, value):
+    gpath = graph_file(path_graph(4))
+    assert main(["rck", "--graph", gpath, "--max-colors", value]) == 2
+    assert "max_colors must be at least 1" in capsys.readouterr().err
+
+
 def test_sweep_needs_config_or_flags(capsys):
     assert main(["sweep"]) == 2
     assert "error" in capsys.readouterr().err

@@ -26,6 +26,8 @@ from rcgraph import rainbow
 from rcgraph.rainbow import (
     _canonical_colorings,
     _color_matrix,
+    _color_planes,
+    _length2_counts,
     _matching_count,
     _verify_matrix,
     _verify_pairs,
@@ -217,11 +219,13 @@ class TestIsRainbowKConnected:
         with pytest.raises(ValueError):
             is_rainbow_k_connected(g, col, 1)
 
+    @pytest.mark.parametrize("verify", [is_rainbow_k_connected, _verify_pairs],
+                             ids=["routed", "pairs"])
     @given(colored_graphs(max_n=6), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
-    def test_agrees_with_pairwise_brute_force(self, gc, k):
+    def test_agrees_with_pairwise_brute_force(self, verify, gc, k):
         g, col = gc
-        ok, witness = is_rainbow_k_connected(g, col, k)
+        ok, witness = verify(g, col, k)
         failing = [
             (u, v)
             for u in range(g.n)
@@ -252,6 +256,91 @@ class TestIsRainbowKConnected:
         result = _verify_matrix(g, col, 1)
         assert result == _verify_pairs(g, col, 1)
         assert not result.ok
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matrix_route_matches_pair_route_with_one_color(self, k):
+        for g in (complete_graph(5), cycle_graph(6), gnp_generate(40, 0.3, 1)):
+            col = EdgeColoring.monochrome(g)
+            assert _verify_matrix(g, col, k) == _verify_pairs(g, col, k)
+
+    @pytest.mark.parametrize(
+        "n,edges", [(2, []), (2, [(0, 1)]), (3, []), (3, [(0, 1)]), (3, [(1, 2)])]
+    )
+    def test_matrix_route_matches_pair_route_on_tiny_graphs(self, n, edges):
+        g = Graph.from_edges(n, edges)
+        for c in range(1, 7):
+            col = EdgeColoring.from_assignment(g, c, [c] * g.m)
+            for k in (1, 2, 3):
+                assert _verify_matrix(g, col, k) == _verify_pairs(g, col, k)
+
+
+class TestRouting:
+    """is_rainbow_k_connected picks its route by color count only."""
+
+    @staticmethod
+    def forbid(monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(rainbow, name, refuse)
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(rainbow, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(rainbow, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 32])
+    @pytest.mark.parametrize("c", range(1, 7))
+    def test_small_graphs_take_the_matrix_route(self, n, c, monkeypatch):
+        self.forbid(monkeypatch, "_verify_pairs")
+        calls = self.count_calls(monkeypatch, "_verify_matrix")
+        g = gnp_generate(n, 0.7, n + c)
+        col = rainbow_color_random(g, c, 3)
+        for k in (1, 2):
+            is_rainbow_k_connected(g, col, k)
+        assert len(calls) == 2
+
+    def test_seven_colors_take_the_pair_route(self, monkeypatch):
+        self.forbid(monkeypatch, "_verify_matrix")
+        calls = self.count_calls(monkeypatch, "_verify_pairs")
+        g = complete_graph(6)
+        col = EdgeColoring.from_assignment(g, 7, [1 + i % 7 for i in range(g.m)])
+        assert is_rainbow_k_connected(g, col, 1).ok
+        assert len(calls) == 1
+
+    def test_rc_k_exact_goes_pair_by_pair(self, monkeypatch):
+        self.forbid(monkeypatch, "_verify_matrix")
+        calls = self.count_calls(monkeypatch, "_verify_pairs")
+        assert rc_k_exact(cycle_graph(5), 1).value == 3
+        assert rc_k_exact(complete_graph(4), 2).value == 2
+        assert len(calls) > 2
+
+
+class TestLength2Counts:
+    """The count kernel A + sum over i != j of P_i P_j of the matrix route."""
+
+    @pytest.mark.parametrize("c", range(1, 7))
+    def test_matches_brute_count(self, c):
+        for seed in range(3):
+            g = gnp_generate(14, 0.5, seed)
+            col = rainbow_color_random(g, c, seed + 5)
+            counts = _length2_counts(_color_planes(g, col))
+            for u in range(g.n):
+                for v in range(g.n):
+                    middles = sum(
+                        1
+                        for w in range(g.n)
+                        if g.has_edge(u, w) and g.has_edge(w, v)
+                        and col.color_of(u, w) != col.color_of(w, v)
+                    )
+                    assert counts[u, v] == int(g.has_edge(u, v)) + middles
 
 
 class TestMatchingCount:

@@ -4,13 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rcgraph import (
+    BudgetExceeded,
     SweepConfig,
+    count_disjoint_length_d_paths,
     enumerate_rainbow_paths,
     gnp_generate,
     grow_tree,
     is_rainbow_k_connected,
     max_disjoint_rainbow_paths,
     rainbow_color_random,
+    rc_k_exact,
     sharp_threshold,
 )
 from rcgraph.seeds import MASK64, check_seed, mix64, splitmix64, splitmix64_array
@@ -74,6 +77,12 @@ _NON_INTEGER_CALLS = {
     "sweep-trials-bool": lambda g, col: _sweep_config(trials=True),
     "sweep-n-float": lambda g, col: _sweep_config(n_values=(100.7,)),
     "sweep-branching-float": lambda g, col: _sweep_config(branching=1.5),
+    "rck-max_colors-bool": lambda g, col: rc_k_exact(g, 1, max_colors=True),
+    "rck-edge_budget-float": lambda g, col: rc_k_exact(g, 1, edge_budget=4.0),
+    "rck-edge_budget-bool": lambda g, col: rc_k_exact(g, 1, edge_budget=True),
+    "paths-path_budget-float": lambda g, col: count_disjoint_length_d_paths(
+        g, 0, 1, 2, path_budget=2.5
+    ),
 }
 
 
@@ -81,6 +90,32 @@ _NON_INTEGER_CALLS = {
 def test_integer_arguments_reject_floats_and_bools(call):
     with pytest.raises(TypeError):
         call(*_colored_graph())
+
+
+_BELOW_MINIMUM_CALLS = {
+    "rck-max_colors-zero": lambda g: rc_k_exact(g, 1, max_colors=0),
+    "rck-max_colors-negative": lambda g: rc_k_exact(g, 1, max_colors=-3),
+    "rck-edge_budget-negative": lambda g: rc_k_exact(g, 1, edge_budget=-1),
+    "paths-path_budget-negative": lambda g: count_disjoint_length_d_paths(
+        g, 0, 1, 2, path_budget=-1
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _BELOW_MINIMUM_CALLS.values(), ids=_BELOW_MINIMUM_CALLS.keys())
+def test_integer_arguments_reject_values_below_minimum(call):
+    g, _ = _colored_graph()
+    with pytest.raises(ValueError, match="at least"):
+        call(g)
+
+
+def test_budget_and_cap_minimums_are_accepted():
+    g = gnp_generate(5, 1.0, 0)
+    assert rc_k_exact(g, 1, max_colors=1, edge_budget=10).value == 1
+    assert rc_k_exact(g, 1, max_colors=None, edge_budget=np.int64(10)).value == 1
+    assert count_disjoint_length_d_paths(g, 0, 1, 1, path_budget=1) == 1
+    with pytest.raises(BudgetExceeded):
+        count_disjoint_length_d_paths(g, 0, 1, 2, path_budget=0)
 
 
 _NUMPY_INTEGER_CALLS = {
