@@ -8,11 +8,15 @@ exactly, and provides a brute-force oracle for the minimum color count
 on small graphs.
 
 Colorings with more than 6 colors, and those :func:`rc_k_exact` tries,
-are verified pair by pair. Others use matrix algebra over per-color
-planes: an exact count of disjoint rainbow paths of length <= 2, or
-rainbow reach at k = 1 with c >= 3. Pairs left below k go by c:
+are verified pair by pair. Others use matrix algebra: rainbow reach over
+color subsets at k = 1 with c >= 3, and otherwise the count of disjoint
+rainbow paths of length <= 2, [uv in E] plus the rainbow middles. That
+count is first bounded from below over a prefix of middle vertices,
+grown by doubling while many pairs stay below k, and made exact, pair by
+pair in lexicographic order, only where the bound is below k. Pairs whose
+exact count is still below k go by c:
 
-    c <= 2   count matrix: no rainbow path is longer, so they fail
+    c <= 2   none: no rainbow path is longer, so they fail
     c = 3    matching count, ``_matching_count``, per pair
     c >= 4   per-pair search: path enumeration plus set packing
 
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial, total_ordering
+from functools import cached_property, lru_cache, partial, total_ordering
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -293,12 +297,27 @@ def max_disjoint_rainbow_paths(
     g: Graph, col: EdgeColoring, u: int, v: int, k_target: int
 ) -> int:
     """min(k_target, M) where M is the true maximum number of internally
-    vertex-disjoint rainbow u-v paths."""
+    vertex-disjoint rainbow u-v paths.
+
+    An optimal packing takes the edge uv and every rainbow path u-w-v: a
+    longer path through such a middle w may be swapped for u-w-v. Only the
+    longer paths that avoid every middle go to the exact search."""
     _check_pair(g, u, v)
     _check_coloring_for(g, col)
     k_target = check_int("k_target", k_target, 1)
     paths = enumerate_rainbow_paths(g, col, u, v, col.c)
-    return _max_disjoint_packing(paths, cap=k_target)
+    middles = 0
+    found = 0
+    for q in paths:
+        if len(q) > 3:
+            break
+        found += 1
+        if len(q) == 3:
+            middles |= 1 << q[1]
+    if found >= k_target:
+        return k_target
+    rest = [q for q in paths[found:] if not any(middles >> w & 1 for w in q[1:-1])]
+    return found + _max_disjoint_packing(rest, cap=k_target - found)
 
 
 def _color_planes(g: Graph, col: EdgeColoring) -> np.ndarray:
@@ -366,22 +385,42 @@ def _matching_count(colors: np.ndarray, u: int, v: int, k: int) -> int:
     return found + _max_disjoint_packing(paths, cap=k - found)
 
 
-def _length2_counts(planes: np.ndarray) -> np.ndarray:
-    """Exact count of disjoint rainbow paths of length <= 2 per pair,
-    A + M + M^T with M the sum over i < j of P_i P_j: c - 1 products over
-    suffix sums built in place, which leave plane 0 as A. Float32 is
-    exact, as counts stay far below 2**24."""
-    mixed = np.zeros_like(planes[0])
-    for i in range(len(planes) - 2, -1, -1):
-        mixed += planes[i] @ planes[i + 1]
-        planes[i] += planes[i + 1]
-    planes[0] += mixed
-    planes[0] += mixed.T
-    return planes[0]
+def _add_middles(bound: np.ndarray, colors: np.ndarray, c: int, start: int, stop: int) -> None:
+    """Add to ``bound`` the rainbow middles w in [start, stop) of every
+    pair, M + M^T with M the sum over i < j of P_i[W]^T P_j[W]: the c - 1
+    products of float32 row blocks against their suffix sums, stacked
+    into one. Float32 is exact, as counts stay far below 2**24."""
+    block = colors[start:stop]
+    # Planes in descending color order: the running sums of the first
+    # c - 1 are the suffix sums that the last c - 1 pair with.
+    planes = (block == np.arange(c, 0, -1, dtype=np.int8)[:, None, None]).astype(np.float32)
+    suffix = np.cumsum(planes[:-1], axis=0)
+    n = colors.shape[1]
+    mixed = planes[1:].reshape(-1, n).T @ suffix.reshape(-1, n)
+    bound += mixed
+    bound += mixed.T
+
+
+def _middle_counts(colors: np.ndarray, us: np.ndarray, vs: np.ndarray, start: int) -> np.ndarray:
+    """Per pair (us[i], vs[i]), the rainbow middles w >= start: both edges
+    present and differently colored, by int8 gathers of the two rows."""
+    tail = colors[:, start:]
+    cu, cv = tail[us], tail[vs]
+    middle = cu != cv
+    middle &= np.minimum(cu, cv, out=cu) > 0
+    return np.count_nonzero(middle, axis=1)
+
+
+@lru_cache(maxsize=4)
+def _upper_mask(n: int) -> np.ndarray:
+    """Read-only n x n mask of the pairs u < v, shared per n."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _first_failing_pair(ok: np.ndarray) -> VerifyResult:
-    bad = np.triu(~ok, 1)
+    bad = _upper_mask(ok.shape[0]) & ~ok
     first = int(bad.argmax())
     if not bad.flat[first]:
         return VerifyResult(True, None)
@@ -389,22 +428,44 @@ def _first_failing_pair(ok: np.ndarray) -> VerifyResult:
 
 
 def _verify_matrix(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
-    planes = _color_planes(g, col)
     if k == 1 and col.c >= 3:
-        return _first_failing_pair(_rainbow_reach(planes))
-    enough = _length2_counts(planes) >= k
-    if col.c <= 2:
-        # No rainbow path can exceed c edges, so the length-2 packing is
-        # the whole truth and unsettled pairs are genuine failures.
-        return _first_failing_pair(enough)
-    if col.c == 3:
-        count = partial(_matching_count, _color_matrix(g, col))
+        return _first_failing_pair(_rainbow_reach(_color_planes(g, col)))
+    n, c = g.n, col.c
+    colors = _color_matrix(g, col)
+    # Pairs whose length-<=2 count is below k go by c. No rainbow path
+    # exceeds c edges, so at c <= 2 they fail outright.
+    if c <= 2:
+        count = None
+    elif c == 3:
+        count = partial(_matching_count, colors)
     else:
         count = partial(max_disjoint_rainbow_paths, g, col)
-    for u, v in np.argwhere(np.triu(~enough, 1)).tolist():
-        if count(u, v, k) < k:
-            return VerifyResult(False, (u, v))
-    return VerifyResult(True, None)
+    # bound[u, v] = [uv in E] + the rainbow middles among vertices
+    # [0, stop): a lower bound on the length-<=2 count, exact at stop = n.
+    bound = (colors > 0).astype(np.float32)
+    start, stop, settled = 0, min(n, max(64, -(-n // 8))), 0
+    while True:
+        _add_middles(bound, colors, c, start, stop)
+        below = bound < k
+        below &= _upper_mask(n)
+        pending = np.flatnonzero(below)
+        pending = pending[np.searchsorted(pending, settled):]
+        # Double the prefix while many pairs are pending, but first settle
+        # the next n of them in order, so that a failing graph fails early.
+        final = stop == n or pending.size <= 4 * n
+        batch = pending if final else pending[:n]
+        for i in range(0, batch.size, n):
+            us, vs = np.divmod(batch[i:i + n], n)
+            if stop < n:
+                short = bound[us, vs] + _middle_counts(colors, us, vs, stop) < k
+                us, vs = us[short], vs[short]
+            for u, v in zip(us.tolist(), vs.tolist()):
+                if count is None or count(u, v, k) < k:
+                    return VerifyResult(False, (u, v))
+        if final:
+            return VerifyResult(True, None)
+        settled = int(batch[-1]) + 1
+        start, stop = stop, min(n, 2 * stop)
 
 
 def _verify_pairs(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:

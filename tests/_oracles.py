@@ -3,8 +3,9 @@
 Everything here is deliberately naive and separate from the library's
 algorithms: adjacency lists by one pass over the edges, plain BFS, path
 enumeration by extension, subset-enumeration packing, connectivity by
-pairwise path counting. These are the ground truth the fast
-implementations are tested against.
+pairwise path counting, the length-<=2 count by dense full-matrix
+products. These are the ground truth the fast implementations are
+tested against.
 """
 
 from __future__ import annotations
@@ -143,6 +144,19 @@ def brute_vertex_connectivity_at_least(g: Graph, k: int) -> bool:
             if brute_max_disjoint(all_simple_paths(g, u, v)) < k:
                 return False
     return True
+
+
+def dense_length2_counts(planes: np.ndarray) -> np.ndarray:
+    """Length-<=2 count of every pair from the dense (c, n, n) per-color
+    planes: A + M + M^T with M the sum over i < j of P_i P_j, as c - 1 full
+    n x n products over suffix sums built in place (planes is consumed)."""
+    mixed = np.zeros_like(planes[0])
+    for i in range(len(planes) - 2, -1, -1):
+        mixed += planes[i] @ planes[i + 1]
+        planes[i] += planes[i + 1]
+    planes[0] += mixed
+    planes[0] += mixed.T
+    return planes[0]
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:

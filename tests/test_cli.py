@@ -1,15 +1,23 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcgraph import Graph, gnp_generate
 from rcgraph.cli import main
 from rcgraph.formats import (
     coloring_from_text,
+    coloring_to_text,
     graph_from_text,
     graph_to_text,
     packing_from_text,
 )
+from rcgraph.rainbow import EdgeColoring
 
 from _oracles import complete_graph, path_graph
 
@@ -202,3 +210,84 @@ def test_usage_error_exit_code():
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["verify", "--graph", "/nonexistent", "--coloring", "/nope"]) == 2
+
+
+# Fuzzing of `verify` and `color`: damaged graph and coloring files and
+# out-of-range flags must end in exit code 0, 1 or 2, never a traceback.
+TOKENS = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.sampled_from(["x", "1.5", "-0", "1e3", "nan", "", str(2**64), str(-2**70)]),
+)
+
+
+@st.composite
+def damaged(draw, lines):
+    """The lines joined as a file, after up to two drops, duplications or
+    replacements by random tokens; or a file of random text or bytes."""
+    shape = draw(st.sampled_from(["lines"] * 8 + ["text", "bytes"]))
+    if shape == "text":
+        return draw(st.text(max_size=40))
+    if shape == "bytes":
+        return draw(st.binary(max_size=40))
+    lines = list(lines)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        if not lines:
+            lines.append("")
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["drop", "duplicate", "replace"]))
+        if action == "drop":
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = " ".join(draw(st.lists(TOKENS, max_size=4)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def cli_runs(draw):
+    """argv for `verify` or `color` plus the graph and coloring files. The
+    coloring header ranges over -2..10 while edges use colors 1..3, so
+    rainbow paths stay short. Exact k >= 2 verification still searches
+    every pair's rainbow paths, which grows steeply with n on dense
+    graphs and large k, so n stays at most 20."""
+    n = draw(st.integers(2, 20))
+    g = gnp_generate(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32)))
+    colors = draw(st.lists(st.integers(1, 3), min_size=g.m, max_size=g.m))
+    col = EdgeColoring(g, max(colors, default=1), colors)
+    header = draw(st.integers(-2, 10))
+    col_lines = [str(header)] + coloring_to_text(col).splitlines()[1:]
+    files = {
+        "graph": draw(damaged(graph_to_text(g).splitlines())),
+        "coloring": draw(damaged(col_lines)),
+    }
+    flag = st.one_of(st.integers(-2, 6).map(str), TOKENS)
+    if draw(st.booleans()):
+        argv = ["verify", "--graph", "graph", "--coloring", "coloring", "--k", draw(flag)]
+    else:
+        argv = ["color", "--graph", "graph", "--colors", draw(flag), "--seed", draw(flag)]
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv, files
+
+
+@given(cli_runs())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_verify_and_color_exit_cleanly(run):
+    argv, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            path = Path(tmp, name)
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content)
+        argv = [str(Path(tmp, a)) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusals
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +25,12 @@ from rcgraph import (
 from rcgraph.construct import rainbow_color_random
 from rcgraph import rainbow
 from rcgraph.rainbow import (
+    _add_middles,
     _canonical_colorings,
     _color_matrix,
     _color_planes,
-    _length2_counts,
     _matching_count,
+    _middle_counts,
     _verify_matrix,
     _verify_pairs,
 )
@@ -41,6 +43,7 @@ from _oracles import (
     complete_graph,
     connected_labeled_graphs,
     cycle_graph,
+    dense_length2_counts,
     labeled_trees,
     path_graph,
 )
@@ -185,6 +188,33 @@ class TestMaxDisjointRainbowPaths:
         got = max_disjoint_rainbow_paths(g, col, 0, g.n - 1, k_target)
         assert got == min(brute_max_disjoint_rainbow(g, col, 0, g.n - 1), k_target)
 
+    @given(colored_graphs(max_n=10, max_c=6), st.integers(1, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_packing_of_every_rainbow_path(self, gc, k_target):
+        g, col = gc
+        paths = enumerate_rainbow_paths(g, col, 0, g.n - 1, col.c)
+        got = max_disjoint_rainbow_paths(g, col, 0, g.n - 1, k_target)
+        assert got == min(rainbow._max_disjoint_packing(paths), k_target)
+
+    def test_middle_swapped_into_a_longer_path(self):
+        # 0-2-1 is rainbow; the rainbow 0-3-2-1 also passes through 2, and
+        # 0-3-1 and 0-2-3-1 repeat color 1, so the maximum is the edge plus
+        # 0-2-1.
+        g, col = colored_by_edge(
+            4, {(0, 1): 4, (0, 2): 1, (2, 1): 2, (0, 3): 1, (3, 1): 1, (2, 3): 3}
+        )
+        assert max_disjoint_rainbow_paths(g, col, 0, 1, 5) == 2
+
+    def test_dense_three_colors_with_spare_colors_is_a_matching(self):
+        # A K_20 colored 1..3 under c = 10 has many 3-edge rainbow paths;
+        # the exact search over all of them ran past two minutes, while the
+        # middles and a matching on the rest settle it at once.
+        g = complete_graph(20)
+        col = EdgeColoring(g, 10, random.Random(2).choices([1, 2, 3], k=g.m))
+        colors = _color_matrix(g, col)
+        for v in (1, 7, 19):
+            assert max_disjoint_rainbow_paths(g, col, 0, v, 50) == _matching_count(colors, 0, v, 50)
+
 
 class TestIsRainbowKConnected:
     def test_any_coloring_of_complete_graph_is_rainbow_1_connected(self):
@@ -323,15 +353,42 @@ class TestRouting:
         assert len(calls) > 2
 
 
+def dense_verify(g, col, k):
+    """The matrix route as one dense count: every pair whose length-<=2
+    count is below k, in order, goes to the per-c step."""
+    counts = dense_length2_counts(_color_planes(g, col))
+    colors = _color_matrix(g, col)
+    for u, v in np.argwhere(np.triu(counts < k, 1)).tolist():
+        if col.c <= 2:
+            return (False, (u, v))
+        if col.c == 3:
+            found = _matching_count(colors, u, v, k)
+        else:
+            found = max_disjoint_rainbow_paths(g, col, u, v, k)
+        if found < k:
+            return (False, (u, v))
+    return (True, None)
+
+
+def edge_indicator(colors):
+    return (colors > 0).astype(np.float32)
+
+
 class TestLength2Counts:
-    """The count kernel A + sum over i != j of P_i P_j of the matrix route."""
+    """The length-<=2 count [uv in E] + rainbow middles of the matrix
+    route: the prefix bound, the exact gathers and the dense oracle."""
 
     @pytest.mark.parametrize("c", range(1, 7))
     def test_matches_brute_count(self, c):
         for seed in range(3):
             g = gnp_generate(14, 0.5, seed)
             col = rainbow_color_random(g, c, seed + 5)
-            counts = _length2_counts(_color_planes(g, col))
+            colors = _color_matrix(g, col)
+            bound = edge_indicator(colors)
+            _add_middles(bound, colors, c, 0, g.n)
+            us, vs = np.divmod(np.arange(g.n * g.n), g.n)
+            exact = edge_indicator(colors)[us, vs] + _middle_counts(colors, us, vs, 0)
+            dense = dense_length2_counts(_color_planes(g, col))
             for u in range(g.n):
                 for v in range(g.n):
                     middles = sum(
@@ -340,7 +397,133 @@ class TestLength2Counts:
                         if g.has_edge(u, w) and g.has_edge(w, v)
                         and col.color_of(u, w) != col.color_of(w, v)
                     )
-                    assert counts[u, v] == int(g.has_edge(u, v)) + middles
+                    expected = int(g.has_edge(u, v)) + middles
+                    assert bound[u, v] == expected
+                    assert exact[u * g.n + v] == expected
+                    assert dense[u, v] == expected
+
+    @pytest.mark.parametrize("c", range(1, 7))
+    def test_prefix_blocks_and_exact_tail_add_up(self, c):
+        g = gnp_generate(40, 0.4, c)
+        col = rainbow_color_random(g, c, 11)
+        colors = _color_matrix(g, col)
+        whole = edge_indicator(colors)
+        _add_middles(whole, colors, c, 0, g.n)
+        for cuts in ((0, 7, 40), (0, 13, 26, 40), (0, 0, 1, 40)):
+            bound = edge_indicator(colors)
+            for start, stop in zip(cuts, cuts[1:]):
+                _add_middles(bound, colors, c, start, stop)
+            assert np.array_equal(bound, whole)
+        us, vs = np.divmod(np.arange(g.n * g.n), g.n)
+        for prefix in (0, 5, 17, 39, 40):
+            bound = edge_indicator(colors)
+            _add_middles(bound, colors, c, 0, prefix)
+            exact = bound[us, vs] + _middle_counts(colors, us, vs, prefix)
+            assert np.array_equal(exact, whole[us, vs])
+
+
+@st.composite
+def verify_cases(draw, max_n, max_c):
+    """(g, col, k) from a seeded G(n, p) around p = sqrt(log n / n) and a
+    random c-coloring. At c >= 4 and k >= 2 the per-pair search grows fast
+    with n, so n stays small."""
+    c = draw(st.integers(1, max_c))
+    k = draw(st.integers(1, 4))
+    if c >= 4 and k >= 2:
+        max_n = min(max_n, 24 if c == 4 else 14)
+    n = draw(st.integers(2, max_n))
+    p = min(1.0, draw(st.floats(0.25, 4.0)) * math.sqrt(math.log(n) / n))
+    seed = draw(st.integers(0, 2**32))
+    g = gnp_generate(n, p, seed)
+    return g, rainbow_color_random(g, c, seed + 1), k
+
+
+class TestPrefixRoute:
+    """_verify_matrix grows its bound over a prefix of middle vertices and
+    settles the pending pairs exactly, in order."""
+
+    @given(verify_cases(max_n=40, max_c=6))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_pair_route(self, case):
+        g, col, k = case
+        assert _verify_matrix(g, col, k) == _verify_pairs(g, col, k)
+
+    @given(verify_cases(max_n=300, max_c=3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_count(self, case):
+        g, col, k = case
+        assert _verify_matrix(g, col, k) == dense_verify(g, col, k)
+
+    @pytest.mark.parametrize("n", [150, 300])
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_matches_dense_count_across_the_threshold(self, n, c):
+        for mult in (1.0, 2.0, 4.0):
+            g = gnp_generate(n, mult * math.sqrt(math.log(n) / n), n + c)
+            col = rainbow_color_random(g, c, 9)
+            for k in (1, 2, 3):
+                assert _verify_matrix(g, col, k) == dense_verify(g, col, k)
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        blocks = []
+
+        def recorded(bound, colors, c, start, stop):
+            before = bound.copy()
+            _add_middles(bound, colors, c, start, stop)
+            blocks.append((start, stop, np.array_equal(before, bound)))
+
+        monkeypatch.setattr(rainbow, "_add_middles", recorded)
+        return blocks
+
+    def test_last_pair_is_the_only_failure(self, monkeypatch):
+        # 256 independent low vertices joined to 44 hubs; hub j colors the
+        # edge to x by the parity of x & mask_j. Distinct masks separate
+        # every other pair; the last two hubs share a mask, so (298, 299)
+        # has no rainbow path, and all middles sit at index >= 256.
+        masks = list(range(1, 42)) + [64, 128, 128]
+        colored = {
+            (x, 256 + j): 1 + bin(x & mask).count("1") % 2
+            for j, mask in enumerate(masks)
+            for x in range(256)
+        }
+        g, col = colored_by_edge(300, colored)
+        blocks = self.record_blocks(monkeypatch)
+        assert _verify_matrix(g, col, 1) == (False, (298, 299))
+        assert [stop for _, stop, _ in blocks] == [64, 128, 256, 300]
+        assert dense_verify(g, col, 1) == (False, (298, 299))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_prefix_settles_nothing(self, seed, monkeypatch):
+        # Vertices below n/2 form a clique and join every upper vertex, all
+        # by color 1, so none is a rainbow middle; the upper half is a
+        # 2-colored G(80, p).
+        n, half = 160, 80
+        upper = gnp_generate(half, (0.25, 0.6)[seed % 2], seed)
+        rest = rainbow_color_random(upper, 2, seed)
+        colored = {(u, v): 1 for u in range(half) for v in range(u + 1, n)}
+        colored.update({(half + u, half + v): color
+                        for (u, v), color in zip(upper.edges, rest.assignment)})
+        g, col = colored_by_edge(n, colored)
+        blocks = self.record_blocks(monkeypatch)
+        result = _verify_matrix(g, col, 1)
+        assert blocks[0] == (0, 64, True)
+        assert result == dense_verify(g, col, 1)
+        assert result.ok == (seed % 2 == 1)
+
+    def test_witness_is_first_of_many_failures(self):
+        # Ten universal vertices with color-1 edges settle the first rows;
+        # the other 290 form a sparse 2-colored G(290, 0.1).
+        n, hubs = 300, 10
+        rest = gnp_generate(n - hubs, 0.1, 5)
+        rest_col = rainbow_color_random(rest, 2, 6)
+        colored = {(u, v): 1 for u in range(hubs) for v in range(u + 1, n)}
+        colored.update({(hubs + u, hubs + v): color
+                        for (u, v), color in zip(rest.edges, rest_col.assignment)})
+        g, col = colored_by_edge(n, colored)
+        counts = dense_length2_counts(_color_planes(g, col))
+        failing = np.argwhere(np.triu(counts < 1, 1))
+        assert len(failing) > 4 * n and failing[0][0] >= hubs
+        assert _verify_matrix(g, col, 1) == (False, tuple(failing[0].tolist()))
 
 
 class TestMatchingCount:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -283,6 +284,28 @@ class TestEmission:
         first = records_to_csv(run_threshold_sweep(config))
         second = records_to_csv(run_threshold_sweep(config))
         assert first == second
+
+    # SHA-256 of records_to_csv for fixed COLORING sweeps, n in {100, 300},
+    # seven multipliers, 8 trials. A faster verification must leave every
+    # byte of these unchanged.
+    PINNED_CSV = {
+        (2, 1): "d1f3a4df219f15fd08b66ef564c00ac36f4d05f8cebcf1ec59a6aab2440ddb1b",
+        (2, 2): "00429e2c9f1a1010cc19f0126f580590cf784180c14188573bb9f361b2c1eaef",
+        (3, 2): "2c3d744a8b030445221fe5aae1e00fde34da0658d1bc853bfe750fec45e1cf4f",
+    }
+
+    @pytest.mark.parametrize("d,k", sorted(PINNED_CSV))
+    def test_csv_is_pinned_across_versions(self, d, k):
+        config = SweepConfig(
+            n_values=(100, 300),
+            multipliers=(0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
+            d=d,
+            k=k,
+            trials=8,
+            seed=0,
+        )
+        text = records_to_csv(run_threshold_sweep(config))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_CSV[d, k]
 
 
 class TestConfigFile:
