@@ -7,16 +7,15 @@ Every neighbor lookup reads one compressed sparse row (CSR) index,
 lists the neighbors of ``x`` in increasing order next to the rows of
 ``edge_array`` that join them. ``has_edge``, ``edge_id``, ``degree``
 and ``neighbors`` read single rows, so code that visits a few vertices
-never pays for the whole graph in Python objects. The Python views
-``adj`` and ``incidence`` are sliced from the CSR, and ``edges`` from
-``edge_array``, each on first use. Graph values are immutable after
-construction and safe to share across threads.
+never pays for the whole graph in Python objects; vertex connectivity
+reads only the CSR. The Python views ``incidence`` (from the CSR) and
+``edges`` (from ``edge_array``) are built on first use. Graph values are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -114,13 +113,6 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Canonical edge tuple: (u, v) with u < v, lexicographically sorted."""
         return tuple(map(tuple, self.edge_array.tolist()))
-
-    @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex sorted neighbor tuples, sliced from the CSR."""
-        indptr, nbrs, _ = self.csr
-        rows, bounds = nbrs.tolist(), indptr.tolist()
-        return tuple(tuple(rows[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -300,46 +292,50 @@ def _has_cut_vertex(g: Graph, order: list[int], parent: list[int]) -> bool:
     return root_children > 1
 
 
-def _disjoint_paths_at_least(g: Graph, s: int, t: int, k: int) -> bool:
-    """True iff there are >= k internally vertex-disjoint s-t paths.
+def _split_network(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
+    """Unit-capacity vertex-split flow network of g, built from the CSR:
+    node in(v) = 2v and out(v) = 2v + 1, one arc in(v) -> out(v) per vertex,
+    then one arc out(x) -> in(y) per CSR arc x -> y, each followed by its
+    reverse (arc e's reverse is e ^ 1). Returns the head of every arc, the
+    capacities (1 forward, 0 reverse) and each node's leaving arcs."""
+    indptr, nbrs, _ = g.csr
+    split = 2 * np.arange(g.n)
+    forward_tail = np.concatenate((split, split.repeat(np.diff(indptr)) + 1))
+    forward_head = np.concatenate((split + 1, 2 * nbrs))
+    tail = np.column_stack((forward_tail, forward_head)).ravel()
+    head = np.column_stack((forward_head, forward_tail)).ravel()
+    order = np.argsort(tail, kind="stable")  # arcs grouped by tail, ids increasing
+    bounds = np.searchsorted(tail, np.arange(2 * g.n + 1), sorter=order).tolist()
+    leaving = order.tolist()
+    arcs = [leaving[a:b] for a, b in zip(bounds, bounds[1:])]
+    return head.tolist(), [1, 0] * (head.size // 2), arcs
 
-    Unit-capacity max flow on the split network (in/out node per vertex),
-    BFS augmentation, stopping after k augmenting paths.
-    """
-    n = g.n
-    # node ids: in(v) = 2v, out(v) = 2v + 1; source = out(s), sink = in(t)
-    cap: dict[int, dict[int, int]] = {}
 
-    def add_arc(a: int, b: int) -> None:
-        cap.setdefault(a, {})[b] = cap.get(a, {}).get(b, 0) + 1
-        cap.setdefault(b, {}).setdefault(a, 0)
-
-    for v in range(n):
-        if v != s and v != t:
-            add_arc(2 * v, 2 * v + 1)
-    for u, row in enumerate(g.adj):
-        for v in row:
-            add_arc(2 * u + 1, 2 * v)
+def _disjoint_paths_at_least(net: tuple, s: int, t: int, k: int) -> bool:
+    """True iff there are >= k internally vertex-disjoint s-t paths: at most
+    k breadth-first augmentations from out(s) to in(t) on a copy of the
+    capacities of ``net``, a :func:`_split_network`."""
+    head, cap, arcs = net
+    cap = cap.copy()
     source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < k:
-        pred = {source: -1}
-        queue = deque([source])
-        while queue and sink not in pred:
-            a = queue.popleft()
-            for b, c in cap.get(a, {}).items():
-                if c > 0 and b not in pred:
-                    pred[b] = a
-                    queue.append(b)
-        if sink not in pred:
+    for _ in range(k):
+        pred = {source: -1}  # node -> the arc that reached it
+        queue = [source]
+        for a in queue:  # grows while read: a FIFO queue
+            for e in arcs[a]:
+                if cap[e] and head[e] not in pred:
+                    pred[head[e]] = e
+                    queue.append(head[e])
+            if sink in pred:
+                break
+        else:
             return False
         b = sink
         while b != source:
-            a = pred[b]
-            cap[a][b] -= 1
-            cap[b][a] += 1
-            b = a
-        flow += 1
+            e = pred[b]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            b = head[e ^ 1]
     return True
 
 
@@ -348,9 +344,9 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     vertex-disjoint connecting paths (equivalently, is g k-vertex-connected)?
 
     One depth-first search over ``Graph.csr`` answers k = 1 and gates the
-    rest; k = 2 is the lowpoint cut-vertex test on its tree, so k <= 2
-    builds no Python view. For k >= 3 a vertex-capacitated max flow is
-    run per non-adjacent pair.
+    rest; k = 2 is the lowpoint cut-vertex test on its tree. For k >= 3
+    each non-adjacent pair, in lexicographic order, runs at most k
+    augmenting paths on one :func:`_split_network` until a pair falls short.
     """
     k = check_int("k", k, 1)
     n = g.n
@@ -367,11 +363,11 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
         return not _has_cut_vertex(g, order, parent)
     if g.is_complete:
         return True  # complete graphs have connectivity n - 1 >= k here
-    for u, row in enumerate(g.adj):
-        nbrs = set(row)
-        for v in range(u + 1, n):
-            if v in nbrs:
-                continue
-            if not _disjoint_paths_at_least(g, u, v, k):
+    net = _split_network(g)
+    for u in range(n - 1):
+        apart = np.ones(n, dtype=bool)
+        apart[g.neighbors(u)] = False
+        for v in np.flatnonzero(apart[u + 1:]).tolist():
+            if not _disjoint_paths_at_least(net, u, u + 1 + v, k):
                 return False
     return True

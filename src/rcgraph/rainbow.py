@@ -469,12 +469,14 @@ def _verify_matrix(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
 
 
 def _verify_pairs(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
+    degree = np.diff(g.csr[0]).tolist()  # no pair has more paths than either degree
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if k == 1:
                 ok = next(_simple_paths(g, u, v, col.c, col.color_bits), None) is not None
             else:
-                ok = max_disjoint_rainbow_paths(g, col, u, v, k) >= k
+                ok = (min(degree[u], degree[v]) >= k
+                      and max_disjoint_rainbow_paths(g, col, u, v, k) >= k)
             if not ok:
                 return VerifyResult(False, (u, v))
     return VerifyResult(True, None)
@@ -488,7 +490,8 @@ def is_rainbow_k_connected(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
     vertex-disjoint rainbow paths. Colorings with at most 6 colors take
     the matrix route at every n; more colors go pair by pair.
     """
-    k = check_int("k", k, 1)
+    # No pair has more than n - 1 disjoint paths: a larger k fails as k = n.
+    k = min(check_int("k", k, 1), g.n)
     _check_coloring_for(g, col)
     if col.c <= _MATRIX_MAX_COLORS:
         return _verify_matrix(g, col, k)

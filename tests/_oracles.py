@@ -3,15 +3,15 @@
 Everything here is deliberately naive and separate from the library's
 algorithms: adjacency lists by one pass over the edges, plain BFS, path
 enumeration by extension, subset-enumeration packing, connectivity by
-pairwise path counting, the length-<=2 count by dense full-matrix
-products. These are the ground truth the fast implementations are
-tested against.
+pairwise path counting or by deleting vertex sets, the length-<=2 count
+by dense full-matrix products. These are the ground truth the fast
+implementations are tested against.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -116,22 +116,27 @@ def brute_rainbow_paths(
     return [q for q in all_simple_paths(g, u, v, max_len=cap) if is_rainbow(col, q)]
 
 
-def brute_max_disjoint(paths: list[tuple[int, ...]]) -> int:
+def brute_max_disjoint(paths: list[tuple[int, ...]], cap: int | None = None) -> int:
     """Maximum internally-disjoint subset, by enumerating every feasible
-    subset (plain recursion, no bounds or early exit)."""
+    subset (plain recursion, no bounds). With ``cap``, min(cap, maximum):
+    the enumeration stops once cap disjoint paths are found."""
     internals = [set(q[1:-1]) for q in paths]
     best = 0
 
-    def rec(idx: int, used: set, count: int) -> None:
+    def rec(idx: int, used: set, count: int) -> bool:
         nonlocal best
         best = max(best, count)
+        if cap is not None and best >= cap:
+            return True
         for j in range(idx, len(paths)):
             if internals[j] & used:
                 continue
-            rec(j + 1, used | internals[j], count + 1)
+            if rec(j + 1, used | internals[j], count + 1):
+                return True
+        return False
 
     rec(0, set(), 0)
-    return best
+    return best if cap is None else min(best, cap)
 
 
 def brute_max_disjoint_rainbow(g: Graph, col: EdgeColoring, u: int, v: int) -> int:
@@ -183,28 +188,30 @@ def labeled_trees(n: int):
             yield g
 
 
-def is_two_connected(g: Graph) -> bool:
-    """Connected with no cut vertex, by deleting each vertex in turn."""
-    if g.n < 3 or not is_connected(g):
+def is_k_connected_by_deletion(g: Graph, k: int) -> bool:
+    """k-vertex-connectivity by its definition: n >= k + 1, and g stays
+    connected after deleting any k - 1 vertices, each deletion set
+    checked by a plain search."""
+    if g.n < k + 1:
         return False
-    for x in range(g.n):
-        kept = [e for e in g.edges if x not in e]
-        others = [w for w in range(g.n) if w != x]
-        reached = {others[0]}
-        frontier = [others[0]]
-        nbrs = {w: set() for w in others}
-        for u, v in kept:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+    nbrs = adjacency_lists(g)
+    for gone in combinations(range(g.n), k - 1):
+        kept = set(range(g.n)).difference(gone)
+        start = min(kept)
+        reached, frontier = {start}, [start]
         while frontier:
-            y = frontier.pop()
-            for w in nbrs[y]:
-                if w not in reached:
+            for w in nbrs[frontier.pop()]:
+                if w in kept and w not in reached:
                     reached.add(w)
                     frontier.append(w)
-        if len(reached) != g.n - 1:
+        if reached != kept:
             return False
     return True
+
+
+def is_two_connected(g: Graph) -> bool:
+    """Connected with no cut vertex, by deleting each vertex in turn."""
+    return is_k_connected_by_deletion(g, 2)
 
 
 def all_colorings(g: Graph, c: int):

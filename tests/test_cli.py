@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcgraph import Graph, gnp_generate
+from rcgraph import Graph, gnp_generate, graphs
 from rcgraph.cli import main
 from rcgraph.formats import (
     coloring_from_text,
@@ -64,6 +64,15 @@ def test_verify_false_exits_one_with_witness(tmp_path, graph_file, capsys):
     assert main(["verify", "--graph", gpath, "--coloring", str(cpath), "--k", "1"]) == 1
     out = capsys.readouterr().out
     assert "false" in out and "witness: 0 2" in out
+
+
+def test_verify_with_a_400_digit_k_is_a_plain_false(tmp_path, graph_file, capsys):
+    gpath = graph_file(gnp_generate(30, 0.5, 0))
+    cpath = tmp_path / "col.txt"
+    for colors in ("2", "3", "4", "7"):
+        assert main(["color", "--graph", gpath, "--colors", colors, "--out", str(cpath)]) == 0
+        assert main(["verify", "--graph", gpath, "--coloring", str(cpath), "--k", "9" * 400]) == 1
+        assert "false  witness: 0 1" in capsys.readouterr().out
 
 
 def test_rck_reports_exact_value_and_certificate(tmp_path, graph_file, capsys):
@@ -127,6 +136,18 @@ def test_rainbow_subcommand_accepts_and_reports(tmp_path, graph_file, capsys):
     assert "colors_used = 2" in capsys.readouterr().out
     g = graph_from_text((tmp_path / "graph.txt").read_text())
     assert main(["verify", "--graph", gpath, "--coloring", str(out)]) == 0
+
+
+def test_rainbow_k3_runs_the_connectivity_flows(tmp_path, capsys, monkeypatch):
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "col.txt"
+    assert main(["gen", "--n", "40", "--p", "0.4", "--seed", "3", "--out", str(gpath)]) == 0
+    flows = []
+    flow = graphs._disjoint_paths_at_least
+    monkeypatch.setattr(graphs, "_disjoint_paths_at_least",
+                        lambda *args: flows.append(args[1:]) or flow(*args))
+    assert main(["rainbow", "--graph", str(gpath), "--k", "3", "--out", str(cpath)]) == 0
+    assert flows and all(k == 3 for _, _, k in flows)
+    assert main(["verify", "--graph", str(gpath), "--coloring", str(cpath), "--k", "3"]) == 0
 
 
 def test_sweep_with_flags_writes_csv(tmp_path, capsys):
@@ -212,8 +233,9 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["verify", "--graph", "/nonexistent", "--coloring", "/nope"]) == 2
 
 
-# Fuzzing of `verify` and `color`: damaged graph and coloring files and
-# out-of-range flags must end in exit code 0, 1 or 2, never a traceback.
+# Fuzzing of `verify`, `color`, `rainbow` and `grow`: damaged graph and
+# coloring files and out-of-range flags must end in exit code 0, 1 or 2
+# (or 3, a budget refusal, for `rainbow` and `grow`), never a traceback.
 TOKENS = st.one_of(
     st.integers(-3, 60).map(str),
     st.sampled_from(["x", "1.5", "-0", "1e3", "nan", "", str(2**64), str(-2**70)]),
@@ -246,11 +268,13 @@ def damaged(draw, lines):
 
 @st.composite
 def cli_runs(draw):
-    """argv for `verify` or `color` plus the graph and coloring files. The
-    coloring header ranges over -2..10 while edges use colors 1..3, so
-    rainbow paths stay short. Exact k >= 2 verification still searches
-    every pair's rainbow paths, which grows steeply with n on dense
-    graphs and large k, so n stays at most 20."""
+    """argv for `verify`, `color`, `rainbow` or `grow` plus the graph and
+    coloring files. The coloring header ranges over -2..10 while edges use
+    colors 1..3, so rainbow paths stay short. Exact k >= 2 verification
+    still searches every pair's rainbow paths, which grows steeply with n
+    on dense graphs and large k, so n stays at most 20. `rainbow` draws
+    --k in 1..5, so that k >= 3 reaches the connectivity flows, and at
+    most 4 attempts."""
     n = draw(st.integers(2, 20))
     g = gnp_generate(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32)))
     colors = draw(st.lists(st.integers(1, 3), min_size=g.m, max_size=g.m))
@@ -262,10 +286,17 @@ def cli_runs(draw):
         "coloring": draw(damaged(col_lines)),
     }
     flag = st.one_of(st.integers(-2, 6).map(str), TOKENS)
-    if draw(st.booleans()):
+    command = draw(st.sampled_from(["rainbow", "verify", "color", "grow"]))
+    if command == "verify":
         argv = ["verify", "--graph", "graph", "--coloring", "coloring", "--k", draw(flag)]
-    else:
+    elif command == "color":
         argv = ["color", "--graph", "graph", "--colors", draw(flag), "--seed", draw(flag)]
+    elif command == "rainbow":
+        argv = ["rainbow", "--graph", "graph", "--k", str(draw(st.integers(1, 5))),
+                "--attempts", str(draw(st.integers(1, 4))), "--seed", draw(flag)]
+    else:
+        argv = ["grow", "--graph", "graph", "--u", draw(flag), "--v", draw(flag),
+                "--depth", draw(flag), "--branching", draw(flag), "--seed", draw(flag)]
     if draw(st.integers(0, 9)) == 0:
         del argv[draw(st.integers(1, len(argv) - 1))]
     return argv, files
@@ -273,7 +304,7 @@ def cli_runs(draw):
 
 @given(cli_runs())
 @settings(max_examples=300, deadline=None)
-def test_fuzzed_verify_and_color_exit_cleanly(run):
+def test_fuzzed_commands_exit_cleanly(run):
     argv, files = run
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
@@ -289,5 +320,5 @@ def test_fuzzed_verify_and_color_exit_cleanly(run):
                 code = main(argv)
             except SystemExit as exc:  # argparse refusals
                 code = exc.code
-    assert code in (0, 1, 2)
+    assert code in ((0, 1, 2) if argv[0] in ("verify", "color") else (0, 1, 2, 3))
     assert "Traceback" not in err.getvalue()

@@ -39,7 +39,7 @@ from _strategies import graph_pairs
 def len2_packing_bound(g: Graph, u: int, v: int) -> int:
     """Closed-form max number of internally disjoint u-v paths of length
     <= 2: the direct edge plus one path per common neighbor."""
-    common = set(g.adj[u]) & set(g.adj[v])
+    common = set(g.neighbors(u).tolist()) & set(g.neighbors(v).tolist())
     return int(g.has_edge(u, v)) + len(common)
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,17 +14,21 @@ from rcgraph import (
     vertex_connectivity_at_least,
 )
 from rcgraph.construct import rainbow_color_random
-from rcgraph.graphs import gnp_threshold, pair_draws
+from rcgraph.graphs import _disjoint_paths_at_least, _split_network, gnp_threshold, pair_draws
 
 from _oracles import (
     adjacency_lists,
     all_labeled_graphs,
+    all_pairs,
+    all_simple_paths,
     brute_diameter,
+    brute_max_disjoint,
     brute_vertex_connectivity_at_least,
     complete_graph,
     cycle_graph,
     incidence_lists,
     is_connected,
+    is_k_connected_by_deletion,
     is_edge_subset,
     is_two_connected,
     path_graph,
@@ -35,7 +40,7 @@ class TestGraphType:
     def test_canonical_edge_order(self):
         g = Graph.from_edges(4, [(3, 2), (1, 0), (0, 2)])
         assert g.edges == ((0, 1), (0, 2), (2, 3))
-        assert g.adj == ((1, 2), (0,), (0, 3), (2,))
+        assert [g.neighbors(u).tolist() for u in range(4)] == [[1, 2], [0], [0, 3], [2]]
 
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0)])
@@ -83,7 +88,7 @@ def check_neighbor_index(g: Graph) -> None:
         row = slice(indptr[x], indptr[x + 1])
         assert list(zip(nbrs[row].tolist(), eids[row].tolist())) == list(inc[x])
     assert not (indptr.flags.writeable or nbrs.flags.writeable or eids.flags.writeable)
-    assert g.adj == adjacency_lists(g)
+    assert tuple(tuple(g.neighbors(x).tolist()) for x in range(g.n)) == adjacency_lists(g)
     assert g.incidence == inc
     assert [g.degree(x) for x in range(g.n)] == [len(b) for b in inc]
     edges = set(g.edges)
@@ -301,8 +306,40 @@ class TestVertexConnectivity:
         assert vertex_connectivity_at_least(g, 2)
         assert not vertex_connectivity_at_least(path_graph(3000), 2)
 
-    def test_k_up_to_two_builds_no_python_views(self):
-        for g in (gnp_generate(60, 0.2, 1), cycle_graph(8), path_graph(5)):
-            for k in (1, 2):
+    def test_builds_no_python_views(self):
+        for g in (gnp_generate(60, 0.2, 1), gnp_generate(30, 0.5, 1), cycle_graph(8),
+                  path_graph(5), complete_graph(6)):
+            for k in range(1, 6):
                 vertex_connectivity_at_least(g, k)
-            assert "adj" not in g.__dict__ and "incidence" not in g.__dict__
+            assert set(g.__dict__) <= {"n", "edge_array", "csr"}
+
+    @given(n=st.integers(7, 22), k=st.integers(3, 5), scale=st.floats(1.0, 6.0),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_k3_to_5_matches_remove_k_minus_one_vertices_oracle(self, n, k, scale, seed):
+        g = gnp_generate(n, min(1.0, scale * math.log(n) / n), seed)
+        assert vertex_connectivity_at_least(g, k) == is_k_connected_by_deletion(g, k)
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["in-order", "relabeled"])
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_two_cliques_sharing_k_minus_one_vertices(self, k, relabel):
+        # Copies of K_{k+1} on 0..k and on 2..k+2 share the k - 1 vertices
+        # 2..k, which cut 0 and 1 off from k + 1 and k + 2. Every degree is
+        # at least k, so only the flows can find the cut.
+        label = np.random.default_rng(k).permutation(k + 3) if relabel else np.arange(k + 3)
+        edges = [(label[a], label[b]) for part in (range(k + 1), range(2, k + 3))
+                 for a, b in combinations(part, 2)]
+        g = Graph.from_edges(k + 3, edges)
+        assert not vertex_connectivity_at_least(g, k)
+        assert vertex_connectivity_at_least(g, k - 1)
+
+    @given(graphs(max_n=8))
+    @settings(max_examples=100, deadline=None)
+    def test_split_network_flow_matches_path_packing(self, g):
+        # One network serves every pair, adjacent pairs included.
+        net = _split_network(g)
+        for s, t in all_pairs(g.n):
+            most = brute_max_disjoint(all_simple_paths(g, s, t), cap=5)
+            for k in range(1, 6):
+                assert _disjoint_paths_at_least(net, s, t, k) == (most >= k)
+                assert _disjoint_paths_at_least(net, t, s, k) == (most >= k)

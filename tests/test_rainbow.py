@@ -242,6 +242,21 @@ class TestIsRainbowKConnected:
         recolored = EdgeColoring.from_assignment(g, col.c, colors)
         assert is_rainbow_k_connected(g, recolored, 1) == (False, (0, g.n - 1))
 
+    @pytest.mark.parametrize("c", [2, 3, 4, 7])
+    def test_k_beyond_every_float_fails_at_the_first_pair(self, c):
+        g = gnp_generate(30, 0.5, 0)
+        col = rainbow_color_random(g, c, 0)
+        assert is_rainbow_k_connected(g, col, 10**400) == (False, (0, 1))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_k_beyond_n_fails_where_n_minus_one_holds(self, n):
+        # Distinct colors make every path rainbow: K_n has n - 1 per pair.
+        g = complete_graph(n)
+        col = EdgeColoring.from_assignment(g, g.m, range(1, g.m + 1))
+        assert is_rainbow_k_connected(g, col, n - 1).ok
+        for k in (n, 10**400):
+            assert is_rainbow_k_connected(g, col, k) == (False, (0, 1))
+
     def test_rejects_coloring_of_other_graph(self):
         g = path_graph(3)
         other = Graph.from_edges(3, [(0, 1)])
