@@ -154,7 +154,6 @@ def count_disjoint_length_d_paths(
                     f"more than {path_budget} length-{d} paths between "
                     f"{u} and {v}; raise path_budget to force the count"
                 )
-    found.sort()
     return _max_disjoint_packing(found, cap=None)
 
 
@@ -172,6 +171,8 @@ def rainbow_color_random(g: Graph, c: int, seed: int) -> EdgeColoring:
     two graphs sharing an edge and a seed agree on its color.
     """
     c = check_int("color count c", c, 1)
+    if c >= 2**31:
+        raise ValueError(f"color count c = {c} exceeds the int32 color limit 2**31 - 1")
     seed = check_seed(seed)
     if g.m == 0:
         return EdgeColoring(g, c, np.empty(0, dtype=np.int32))
@@ -229,10 +230,10 @@ def rainbow_k_color(
     """Randomized near-optimal rainbow-k-coloring of a (random) graph.
 
     Estimates the edge probability from density (or uses ``known_p``),
-    derives the depth budget d from the exponent of p, then draws random
-    d-colorings until one verifies, escalating once to d+1 colors. Every
-    returned coloring has been verified; an immediate NotKConnected
-    diagnosis is returned when no coloring can exist.
+    derives the depth budget d (at most m) from the exponent of p, then
+    draws random d-colorings until one verifies, escalating once to d+1
+    colors. Every returned coloring has been verified; an immediate
+    NotKConnected diagnosis is returned when no coloring can exist.
     """
     k, attempts = check_int("k", k, 1), check_int("attempts", attempts, 1)
     check_seed(seed)
@@ -250,7 +251,7 @@ def rainbow_k_color(
     else:
         eps_hat = -math.log(p_hat) / math.log(g.n)
         eps_hat = min(max(eps_hat, 0.0), math.nextafter(1.0, 0.0))
-    d = choose_depth_from_epsilon(eps_hat)
+    d = min(choose_depth_from_epsilon(eps_hat), g.m)
     total = 0
     last_witness: tuple[int, int] | None = None
     for c in (d, d + 1):

@@ -9,19 +9,16 @@ on small graphs.
 
 Colorings with more than 6 colors, and those :func:`rc_k_exact` tries,
 are verified pair by pair. Others use matrix algebra: rainbow reach over
-color subsets at k = 1 with c >= 3, and otherwise the count of disjoint
-rainbow paths of length <= 2, [uv in E] plus the rainbow middles. That
-count is first bounded from below over a prefix of middle vertices,
-grown by doubling while many pairs stay below k, and made exact, pair by
-pair in lexicographic order, only where the bound is below k. Pairs whose
-exact count is still below k go by c:
-
-    c <= 2   none: no rainbow path is longer, so they fail
-    c = 3    matching count, ``_matching_count``, per pair
-    c >= 4   per-pair search: path enumeration plus set packing
-
-One iterative enumerator of simple paths, ``_simple_paths``, serves the
-per-pair routes and the length-d path count in :mod:`rcgraph.construct`.
+color subsets at k = 1 with c >= 3, and otherwise a lower bound on the
+length-<=2 count, [uv in E] plus the rainbow middles, over a doubling
+prefix of middle vertices, made exact pair by pair in lexicographic
+order only where it is below k. A pair still below k fails if either
+degree is below k. Otherwise :func:`max_disjoint_rainbow_paths` counts
+it (``_matching_count`` at c = 3 on the matrix route): the edge and the
+middles first, then the longer rainbow paths that avoid every middle,
+shortest first and packed first fit as they are found, and the exact set
+packing only when the search runs out. One iterative simple-path
+enumerator, ``_simple_paths``, serves every path search.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, total_ordering
-from itertools import combinations
+from itertools import combinations, pairwise
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -198,11 +195,11 @@ def _check_coloring_for(g: Graph, col: EdgeColoring) -> None:
 
 
 def _simple_paths(
-    g: Graph, u: int, v: int, cap: int, bits: Sequence[int]
+    g: Graph, u: int, v: int, cap: int, bits: Sequence[int], blocked: Iterable[int] = ()
 ) -> Iterator[tuple[int, ...]]:
     """Yield every simple u-v path of at most ``cap`` edges whose edges
-    carry pairwise disjoint bits, in depth-first order over the sorted
-    incidence lists.
+    carry pairwise disjoint bits and whose inner vertices avoid
+    ``blocked``, in depth-first order over the sorted incidence lists.
 
     ``bits[ei]`` is the bit of edge ``ei``: its color bit for rainbow
     paths, or 0 for every edge when no edge may block another. The search
@@ -212,7 +209,8 @@ def _simple_paths(
     inc = g.incidence
     path = [u]
     on_path = [False] * g.n
-    on_path[u] = True
+    for w in (u, *blocked):
+        on_path[w] = True
     stack = [(iter(inc[u]), 0)]
     while stack:
         it, used = stack[-1]
@@ -247,31 +245,27 @@ def enumerate_rainbow_paths(
     return sorted(paths, key=lambda q: (len(q), q))
 
 
-def _max_disjoint_packing(paths: list[tuple[int, ...]], cap: int | None = None) -> int:
-    """Exact maximum set packing over the paths' internal vertex sets.
-
-    Branch and bound over paths in the given order (shortest first): greedy
-    first fit as the lower bound, remaining-path count as the upper bound,
-    early exit once ``cap`` disjoint paths are found.
-    """
-    if not paths:
-        return 0
-    masks: list[int] = []
-    best = 0
-    used = 0
+def _max_disjoint_packing(paths: Iterable[tuple[int, ...]], cap: int | None = None) -> int:
+    """Exact maximum set packing over the paths' internal vertex sets, or
+    min(cap, maximum): first fit as the paths arrive, returning once ``cap``
+    are held, then a branch and bound over all of them, shortest first,
+    bounded by the first-fit count and the remaining-path count."""
+    held: list[tuple[int, tuple[int, ...], int]] = []
+    used = found = 0
     for q in paths:
         mk = 0
         for w in q[1:-1]:
             mk |= 1 << w
-        masks.append(mk)
+        held.append((len(q), q, mk))
         if not mk & used:
             used |= mk
-            best += 1
-            if cap is not None and best >= cap:
+            found += 1
+            if found == cap:
                 return cap
 
+    held.sort()
+    masks = [mk for _, _, mk in held]
     total = len(masks)
-    found = best
     # Depth-first over explicit frames [next path index, used vertices,
     # paths taken]; a frame is dropped once its remaining paths cannot
     # beat the best packing found so far.
@@ -287,10 +281,10 @@ def _max_disjoint_packing(paths: list[tuple[int, ...]], cap: int | None = None) 
         frame[0] = j + 1
         if count + 1 > found:
             found = count + 1
-            if cap is not None and found >= cap:
+            if found == cap:
                 break
         stack.append([j + 1, used | masks[j], count + 1])
-    return found if cap is None else min(found, cap)
+    return found
 
 
 def max_disjoint_rainbow_paths(
@@ -300,24 +294,36 @@ def max_disjoint_rainbow_paths(
     vertex-disjoint rainbow u-v paths.
 
     An optimal packing takes the edge uv and every rainbow path u-w-v: a
-    longer path through such a middle w may be swapped for u-w-v. Only the
-    longer paths that avoid every middle go to the exact search."""
+    longer path through such a middle w may be swapped for u-w-v. Both
+    come from the CSR rows of u and v and settle the count at k_target,
+    or at c <= 2, where no rainbow path is longer. Only then are the longer
+    rainbow paths that avoid every middle searched and packed."""
     _check_pair(g, u, v)
     _check_coloring_for(g, col)
     k_target = check_int("k_target", k_target, 1)
-    paths = enumerate_rainbow_paths(g, col, u, v, col.c)
-    middles = 0
-    found = 0
-    for q in paths:
-        if len(q) > 3:
-            break
-        found += 1
-        if len(q) == 3:
-            middles |= 1 << q[1]
+    indptr, nbrs, eids = g.csr
+    lo, hi = indptr[u], indptr[u + 1]
+    near_u = nbrs[lo:hi].tolist()
+    found = int(v in near_u)
     if found >= k_target:
         return k_target
-    rest = [q for q in paths[found:] if not any(middles >> w & 1 for w in q[1:-1])]
-    return found + _max_disjoint_packing(rest, cap=k_target - found)
+    at_u = dict(zip(near_u, col.color_array[eids[lo:hi]].tolist()))
+    lo, hi = indptr[v], indptr[v + 1]
+    at_v = zip(nbrs[lo:hi].tolist(), col.color_array[eids[lo:hi]].tolist())
+    middles = [w for w, color in at_v if at_u.get(w, color) != color]
+    found += len(middles)
+    if found >= k_target or col.c <= 2:
+        return min(found, k_target)
+    # Searches capped at 3, 6, 12, ... edges each yield the paths longer
+    # than the previous cap, so short paths, which block fewer others, come
+    # first, and the repeated shallow walks cost a constant factor. When one
+    # more path settles the count, one search runs. Past the edge uv, every
+    # rainbow path that avoids the middles has at least 3 edges.
+    top = min(col.c, g.n - 1)
+    caps = [3 << i for i in range(top.bit_length()) if 3 << i < top]
+    longer = (q for low, cap in pairwise([2, *caps, top] if k_target - found > 1 else [2, top])
+              for q in _simple_paths(g, u, v, cap, col.color_bits, middles) if len(q) - 1 > low)
+    return found + _max_disjoint_packing(longer, cap=k_target - found)
 
 
 def _color_planes(g: Graph, col: EdgeColoring) -> np.ndarray:
@@ -432,14 +438,9 @@ def _verify_matrix(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
         return _first_failing_pair(_rainbow_reach(_color_planes(g, col)))
     n, c = g.n, col.c
     colors = _color_matrix(g, col)
-    # Pairs whose length-<=2 count is below k go by c. No rainbow path
-    # exceeds c edges, so at c <= 2 they fail outright.
-    if c <= 2:
-        count = None
-    elif c == 3:
-        count = partial(_matching_count, colors)
-    else:
-        count = partial(max_disjoint_rainbow_paths, g, col)
+    # The per-pair count for pairs whose length-<=2 count is below k.
+    count = (partial(_matching_count, colors) if c == 3
+             else partial(max_disjoint_rainbow_paths, g, col))
     # bound[u, v] = [uv in E] + the rainbow middles among vertices
     # [0, stop): a lower bound on the length-<=2 count, exact at stop = n.
     bound = (colors > 0).astype(np.float32)
@@ -460,7 +461,8 @@ def _verify_matrix(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
                 short = bound[us, vs] + _middle_counts(colors, us, vs, stop) < k
                 us, vs = us[short], vs[short]
             for u, v in zip(us.tolist(), vs.tolist()):
-                if count is None or count(u, v, k) < k:
+                # No pair has more disjoint paths than either degree.
+                if min(g.degree(u), g.degree(v)) < k or count(u, v, k) < k:
                     return VerifyResult(False, (u, v))
         if final:
             return VerifyResult(True, None)
@@ -469,15 +471,11 @@ def _verify_matrix(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
 
 
 def _verify_pairs(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
-    degree = np.diff(g.csr[0]).tolist()  # no pair has more paths than either degree
+    indptr = g.csr[0].tolist()
+    degree = [b - a for a, b in zip(indptr, indptr[1:])]  # bounds each pair's count
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if k == 1:
-                ok = next(_simple_paths(g, u, v, col.c, col.color_bits), None) is not None
-            else:
-                ok = (min(degree[u], degree[v]) >= k
-                      and max_disjoint_rainbow_paths(g, col, u, v, k) >= k)
-            if not ok:
+            if min(degree[u], degree[v]) < k or max_disjoint_rainbow_paths(g, col, u, v, k) < k:
                 return VerifyResult(False, (u, v))
     return VerifyResult(True, None)
 

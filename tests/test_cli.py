@@ -138,6 +138,14 @@ def test_rainbow_subcommand_accepts_and_reports(tmp_path, graph_file, capsys):
     assert main(["verify", "--graph", gpath, "--coloring", str(out)]) == 0
 
 
+def test_rainbow_with_a_tiny_p_caps_colors_at_the_edge_count(tmp_path, capsys):
+    # p = 1e-300 asks for 2**53 + 1 colors; more than m never help.
+    gpath = tmp_path / "g.txt"
+    assert main(["gen", "--n", "12", "--p", "0.5", "--seed", "1", "--out", str(gpath)]) == 0
+    assert main(["rainbow", "--graph", str(gpath), "--k", "1", "--p", "1e-300"]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
 def test_rainbow_k3_runs_the_connectivity_flows(tmp_path, capsys, monkeypatch):
     gpath, cpath = tmp_path / "g.txt", tmp_path / "col.txt"
     assert main(["gen", "--n", "40", "--p", "0.4", "--seed", "3", "--out", str(gpath)]) == 0

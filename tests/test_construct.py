@@ -258,6 +258,13 @@ class TestRainbowColorRandom:
         for u, v in g.edges:
             assert col.color_of(u, v) == pair_color(123, u, v, 4)
 
+    def test_refuses_colors_beyond_int32(self):
+        g = gnp_generate(12, 0.5, 1)
+        col = rainbow_color_random(g, 2**31 - 1, 7)
+        assert col.color_array.max() <= 2**31 - 1 and col.color_array.min() >= 1
+        with pytest.raises(ValueError, match="int32"):
+            rainbow_color_random(g, 2**31, 7)
+
     def test_color_one_frequency_within_five_sigma(self):
         # per edge of K_100, across 200 seeds: Binomial(200, 1/2)
         g = complete_graph(100)
@@ -337,6 +344,14 @@ class TestRainbowKColor:
         assert isinstance(outcome, RainbowColoring)
         # eps close to 1 - would not happen from the density estimate
         assert outcome.depth_estimate > 2
+
+    def test_tiny_known_p_caps_depth_at_the_edge_count(self):
+        # p = 1e-300 gives a depth of 2**53 + 1; m colors already make
+        # every edge a color of its own.
+        g = gnp_generate(12, 0.5, 1)
+        outcome = rainbow_k_color(g, 1, seed=0, known_p=1e-300)
+        assert isinstance(outcome, RainbowColoring)
+        assert outcome.depth_estimate == g.m
 
     def test_rejects_bad_arguments(self):
         g = complete_graph(4)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from rcgraph.rainbow import (
     _color_planes,
     _matching_count,
     _middle_counts,
+    _simple_paths,
     _verify_matrix,
     _verify_pairs,
 )
@@ -181,14 +183,14 @@ class TestMaxDisjointRainbowPaths:
             expected = brute_max_disjoint_rainbow(g, col, 0, 7)
             assert max_disjoint_rainbow_paths(g, col, 0, 7, 10) == min(expected, 10)
 
-    @given(colored_graphs(max_n=7), st.integers(1, 4))
+    @given(colored_graphs(max_n=7, max_c=9), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_matches_brute_force(self, gc, k_target):
         g, col = gc
         got = max_disjoint_rainbow_paths(g, col, 0, g.n - 1, k_target)
         assert got == min(brute_max_disjoint_rainbow(g, col, 0, g.n - 1), k_target)
 
-    @given(colored_graphs(max_n=10, max_c=6), st.integers(1, 9))
+    @given(colored_graphs(max_n=10, max_c=9), st.integers(1, 9))
     @settings(max_examples=150, deadline=None)
     def test_matches_packing_of_every_rainbow_path(self, gc, k_target):
         g, col = gc
@@ -204,6 +206,38 @@ class TestMaxDisjointRainbowPaths:
             4, {(0, 1): 4, (0, 2): 1, (2, 1): 2, (0, 3): 1, (3, 1): 1, (2, 3): 3}
         )
         assert max_disjoint_rainbow_paths(g, col, 0, 1, 5) == 2
+
+    def test_exact_packing_beats_first_fit_in_search_order(self):
+        # No edge 0-1 and no middles. The search meets 0-2-3-1 first, also
+        # among the 3-edge paths, and it blocks 0-2-4-1, 0-5-3-1 and
+        # 0-5-3-2-4-1, so first fit holds one path; the exact packing finds
+        # 0-2-4-1 and 0-5-3-1.
+        g, col = colored_by_edge(
+            6, {(0, 2): 1, (2, 3): 2, (3, 1): 3, (2, 4): 4, (4, 1): 5, (0, 5): 6, (5, 3): 7}
+        )
+        paths = list(_simple_paths(g, 0, 1, col.c, col.color_bits))
+        assert paths == [(0, 2, 3, 1), (0, 2, 4, 1), (0, 5, 3, 1), (0, 5, 3, 2, 4, 1)]
+        first_fit = []
+        for q in paths:
+            if all(set(q[1:-1]).isdisjoint(p[1:-1]) for p in first_fit):
+                first_fit.append(q)
+        assert first_fit == [(0, 2, 3, 1)]
+        assert max_disjoint_rainbow_paths(g, col, 0, 1, 2) == 2
+        assert brute_max_disjoint_rainbow(g, col, 0, 1) == 2
+
+    def test_failing_two_coloring_builds_no_python_views(self, monkeypatch):
+        # The count reads two CSR rows; at c <= 2 no rainbow path is longer,
+        # so it settles the witness without walking the whole graph.
+        counted = []
+        count = rainbow.max_disjoint_rainbow_paths
+        monkeypatch.setattr(rainbow, "max_disjoint_rainbow_paths",
+                            lambda *args: counted.append(args[2:4]) or count(*args))
+        g = gnp_generate(1000, 0.05, 0)
+        col = rainbow_color_random(g, 2, 0)
+        ok, witness = is_rainbow_k_connected(g, col, 1)
+        assert not ok and counted == [witness]
+        assert "incidence" not in g.__dict__
+        assert "assignment" not in col.__dict__ and "color_bits" not in col.__dict__
 
     def test_dense_three_colors_with_spare_colors_is_a_matching(self):
         # A K_20 colored 1..3 under c = 10 has many 3-edge rainbow paths;
@@ -257,6 +291,30 @@ class TestIsRainbowKConnected:
         for k in (n, 10**400):
             assert is_rainbow_k_connected(g, col, k) == (False, (0, 1))
 
+    @pytest.mark.parametrize(
+        "n,p,c,seed,k,budget",
+        [(30, 0.5, 7, 0, 2, 2.0), (70, 0.3, 6, 102, 2, 5.0), (40, 0.6, 6, 1, 12, 2.0)],
+    )
+    def test_dense_colorings_are_settled_by_short_paths(self, n, p, c, seed, k, budget):
+        # The edge, the middles and the shortest longer paths settle every
+        # pair. Listing every rainbow path first took over a minute on the
+        # first two; first fit in plain depth-first order took 20 s on the
+        # third, whose first paths are long and block many others.
+        g = gnp_generate(n, p, 0)
+        col = rainbow_color_random(g, c, seed)
+        started = time.perf_counter()
+        assert is_rainbow_k_connected(g, col, k).ok
+        assert time.perf_counter() - started < budget
+
+    def test_huge_k_fails_on_degree_before_the_matching(self):
+        # k clamps to n = 50, above every degree; the matching over the
+        # 3-edge paths of pair (0, 1) took tens of seconds.
+        g = gnp_generate(50, 0.7, 0)
+        col = rainbow_color_random(g, 3, 0)
+        started = time.perf_counter()
+        assert is_rainbow_k_connected(g, col, 2**64) == (False, (0, 1))
+        assert time.perf_counter() - started < 0.5
+
     def test_rejects_coloring_of_other_graph(self):
         g = path_graph(3)
         other = Graph.from_edges(3, [(0, 1)])
@@ -266,7 +324,7 @@ class TestIsRainbowKConnected:
 
     @pytest.mark.parametrize("verify", [is_rainbow_k_connected, _verify_pairs],
                              ids=["routed", "pairs"])
-    @given(colored_graphs(max_n=6), st.integers(1, 3))
+    @given(colored_graphs(max_n=7, max_c=9), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_pairwise_brute_force(self, verify, gc, k):
         g, col = gc
