@@ -12,12 +12,13 @@ are verified pair by pair. Others use matrix algebra: rainbow reach over
 color subsets at k = 1 with c >= 3, and otherwise a lower bound on the
 length-<=2 count, [uv in E] plus the rainbow middles, over a doubling
 prefix of middle vertices, made exact pair by pair in lexicographic
-order only where it is below k. A pair still below k fails if either
-degree is below k. Otherwise :func:`max_disjoint_rainbow_paths` counts
-it (``_matching_count`` at c = 3 on the matrix route): the edge and the
+order only where it is below k. A pair still below k fails at c <= 2,
+where no rainbow path is longer, or if either degree is below k.
+Otherwise :func:`max_disjoint_rainbow_paths` counts it
+(``_matching_count`` at c = 3 on the matrix route): the edge and the
 middles first, then the longer rainbow paths that avoid every middle,
-shortest first and packed first fit as they are found, and the exact set
-packing only when the search runs out. One iterative simple-path
+shortest first and packed first fit as they are found, and the exact
+set packing only when the search runs out. One iterative simple-path
 enumerator, ``_simple_paths``, serves every path search.
 """
 
@@ -316,12 +317,12 @@ def max_disjoint_rainbow_paths(
         return min(found, k_target)
     # Searches capped at 3, 6, 12, ... edges each yield the paths longer
     # than the previous cap, so short paths, which block fewer others, come
-    # first, and the repeated shallow walks cost a constant factor. When one
-    # more path settles the count, one search runs. Past the edge uv, every
-    # rainbow path that avoids the middles has at least 3 edges.
+    # first, and the repeated shallow walks cost a constant factor. Past
+    # the edge uv, every rainbow path that avoids the middles has at least
+    # 3 edges.
     top = min(col.c, g.n - 1)
     caps = [3 << i for i in range(top.bit_length()) if 3 << i < top]
-    longer = (q for low, cap in pairwise([2, *caps, top] if k_target - found > 1 else [2, top])
+    longer = (q for low, cap in pairwise([2, *caps, top])
               for q in _simple_paths(g, u, v, cap, col.color_bits, middles) if len(q) - 1 > low)
     return found + _max_disjoint_packing(longer, cap=k_target - found)
 
@@ -461,8 +462,8 @@ def _verify_matrix(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
                 short = bound[us, vs] + _middle_counts(colors, us, vs, stop) < k
                 us, vs = us[short], vs[short]
             for u, v in zip(us.tolist(), vs.tolist()):
-                # No pair has more disjoint paths than either degree.
-                if min(g.degree(u), g.degree(v)) < k or count(u, v, k) < k:
+                # No longer rainbow path at c <= 2; no count above a degree.
+                if c <= 2 or min(g.degree(u), g.degree(v)) < k or count(u, v, k) < k:
                     return VerifyResult(False, (u, v))
         if final:
             return VerifyResult(True, None)
@@ -471,8 +472,7 @@ def _verify_matrix(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
 
 
 def _verify_pairs(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
-    indptr = g.csr[0].tolist()
-    degree = [b - a for a, b in zip(indptr, indptr[1:])]  # bounds each pair's count
+    degree = np.diff(g.csr[0]).tolist()  # no pair has more paths than either degree
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if min(degree[u], degree[v]) < k or max_disjoint_rainbow_paths(g, col, u, v, k) < k:

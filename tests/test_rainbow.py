@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import time
 
 import numpy as np
 import pytest
@@ -226,17 +225,16 @@ class TestMaxDisjointRainbowPaths:
         assert brute_max_disjoint_rainbow(g, col, 0, 1) == 2
 
     def test_failing_two_coloring_builds_no_python_views(self, monkeypatch):
-        # The count reads two CSR rows; at c <= 2 no rainbow path is longer,
-        # so it settles the witness without walking the whole graph.
+        # At c <= 2 no rainbow path is longer than the exact length-<=2
+        # count, so the witness fails without a per-pair count or any view.
         counted = []
-        count = rainbow.max_disjoint_rainbow_paths
         monkeypatch.setattr(rainbow, "max_disjoint_rainbow_paths",
-                            lambda *args: counted.append(args[2:4]) or count(*args))
+                            lambda *args: counted.append(args[2:4]))
         g = gnp_generate(1000, 0.05, 0)
         col = rainbow_color_random(g, 2, 0)
         ok, witness = is_rainbow_k_connected(g, col, 1)
-        assert not ok and counted == [witness]
-        assert "incidence" not in g.__dict__
+        assert not ok and witness is not None and counted == []
+        assert "csr" not in g.__dict__ and "incidence" not in g.__dict__
         assert "assignment" not in col.__dict__ and "color_bits" not in col.__dict__
 
     def test_dense_three_colors_with_spare_colors_is_a_matching(self):
@@ -292,28 +290,26 @@ class TestIsRainbowKConnected:
             assert is_rainbow_k_connected(g, col, k) == (False, (0, 1))
 
     @pytest.mark.parametrize(
-        "n,p,c,seed,k,budget",
-        [(30, 0.5, 7, 0, 2, 2.0), (70, 0.3, 6, 102, 2, 5.0), (40, 0.6, 6, 1, 12, 2.0)],
+        "n,p,c,seed,k", [(30, 0.5, 7, 0, 2), (70, 0.3, 6, 102, 2), (40, 0.6, 6, 1, 12)],
     )
-    def test_dense_colorings_are_settled_by_short_paths(self, n, p, c, seed, k, budget):
+    def test_dense_colorings_are_settled_by_short_paths(self, n, p, c, seed, k):
         # The edge, the middles and the shortest longer paths settle every
         # pair. Listing every rainbow path first took over a minute on the
         # first two; first fit in plain depth-first order took 20 s on the
         # third, whose first paths are long and block many others.
         g = gnp_generate(n, p, 0)
         col = rainbow_color_random(g, c, seed)
-        started = time.perf_counter()
         assert is_rainbow_k_connected(g, col, k).ok
-        assert time.perf_counter() - started < budget
 
-    def test_huge_k_fails_on_degree_before_the_matching(self):
+    def test_huge_k_fails_on_degree_before_the_matching(self, monkeypatch):
         # k clamps to n = 50, above every degree; the matching over the
         # 3-edge paths of pair (0, 1) took tens of seconds.
+        matched = []
+        monkeypatch.setattr(rainbow, "_matching_count", lambda *args: matched.append(args))
         g = gnp_generate(50, 0.7, 0)
         col = rainbow_color_random(g, 3, 0)
-        started = time.perf_counter()
         assert is_rainbow_k_connected(g, col, 2**64) == (False, (0, 1))
-        assert time.perf_counter() - started < 0.5
+        assert matched == []
 
     def test_rejects_coloring_of_other_graph(self):
         g = path_graph(3)
