@@ -190,8 +190,8 @@ def gnp_threshold(n: int, draws: np.ndarray, p: float) -> Graph:
     iu, ju = _pair_indices(n)
     if draws.shape != iu.shape:
         raise ValueError(f"expected {iu.shape[0]} pair draws for n={n}, got shape {draws.shape}")
-    mask = draws < p
-    return Graph(n, np.column_stack((iu[mask], ju[mask])))
+    kept = np.flatnonzero(draws < p)
+    return Graph(n, np.column_stack((iu.take(kept), ju.take(kept))))
 
 
 def gnp_generate(n: int, p: float, seed: int) -> Graph:
@@ -216,34 +216,90 @@ def _reach_one_step(g: Graph) -> np.ndarray:
     return a
 
 
-def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+#: uint64 words in one block of product lookup tables (4 MB). With the
+#: output and one gathered row set, this bounds the memory of a product.
+_TABLE_WORDS = 1 << 19
+
+
+def _pack_rows(a: np.ndarray) -> np.ndarray:
+    """Boolean rows as little-endian uint64 words: column j of a row is bit
+    j % 64 of word j // 64 on every host."""
+    rows, n = a.shape
+    out = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
+    out[:, : -(-n // 8)] = np.packbits(a, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _or_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Boolean product of packed rows: row i of the result ORs the rows
+    ``y[j]`` for every column j set in ``x[i]``.
+
+    The method of four Russians (Arlazarov, Dinic, Kronrod & Faradzev,
+    1970): for each byte of x's columns, a table holds the ORs of all 256
+    subsets of the eight matching y rows, so every output row costs one
+    table lookup per byte. Tables are built in blocks of at most
+    ``_TABLE_WORDS`` words.
+    """
+    nbytes, w = -(-y.shape[0] // 8), y.shape[1]
+    cols = np.ascontiguousarray(x.view(np.uint8)[:, :nbytes].T)
+    ys = np.zeros((nbytes * 8, w), dtype="<u8")
+    ys[: y.shape[0]] = y
+    ys = ys.reshape(nbytes, 8, w)
+    out = np.zeros((x.shape[0], w), dtype="<u8")
+    looked_up = np.empty_like(out)
+    per_block = max(1, _TABLE_WORDS // (256 * w))
+    for b0 in range(0, nbytes, per_block):
+        block = ys[b0 : b0 + per_block]
+        tables = np.zeros((len(block), 256, w), dtype="<u8")
+        for bit in range(8):  # subsets with top bit `bit` extend the smaller ones
+            np.bitwise_or(tables[:, : 1 << bit], block[:, bit, None],
+                          out=tables[:, 1 << bit : 2 << bit])
+        for b, table in enumerate(tables, b0):
+            np.take(table, cols[b], axis=0, out=looked_up)
+            out |= looked_up
+    return out
 
 
 def diameter(g: Graph) -> int | float:
     """Largest shortest-path distance over all vertex pairs.
 
-    Returns :data:`INFINITE` iff the graph is disconnected. Squares the
-    boolean reach matrix until reach is total, then finds the last step
-    count whose reach is not total by binary lifting over the saved
-    powers: O(log D) float32 matrix products for diameter D.
+    Returns :data:`INFINITE` iff the graph is disconnected. Reach sets are
+    packed bit rows, n^2/8 bytes per power. Squares the reach matrix until
+    reach is total, then finds the last step count whose reach is not
+    total by binary lifting over the saved powers: O(log D) products
+    (:func:`_or_product`) for diameter D. Each product computes only the
+    rows not yet total, since reach includes the identity and a total row
+    stays total.
     """
-    # powers[i] holds reachability within 2**i steps.
-    powers = [_reach_one_step(g)]
-    while not powers[-1].all():
-        nxt = _bool_matmul(powers[-1], powers[-1])
-        if np.array_equal(nxt, powers[-1]):
+    full = _pack_rows(np.ones((1, g.n), dtype=bool))[0]
+
+    def is_open(rows: np.ndarray) -> np.ndarray:
+        return (rows != full).any(axis=1)
+
+    # powers[i] holds reachability within 2**i steps; `open_rows` lists
+    # the rows of the last power that are not total.
+    powers = [_pack_rows(_reach_one_step(g))]
+    open_rows = np.flatnonzero(is_open(powers[0]))
+    while open_rows.size:
+        rows = powers[-1][open_rows]
+        grown = _or_product(rows, powers[-1])
+        if np.array_equal(grown, rows):
             return INFINITE
-        powers.append(nxt)
+        powers.append(powers[-1].copy())
+        powers[-1][open_rows] = grown
+        open_rows = open_rows[is_open(grown)]
     if len(powers) == 1:
         return 1  # reach within one step is total: complete graph
     # Reach within `steps` is not total; extend it by every smaller power
-    # that keeps it so. One more step then reaches every pair.
+    # that keeps it so. One more step then reaches every pair. `reach`
+    # holds only the rows not yet total.
     steps, reach = 1 << (len(powers) - 2), powers[-2]
+    reach = reach[is_open(reach)]
     for bit in range(len(powers) - 3, -1, -1):
-        nxt = _bool_matmul(reach, powers[bit])
-        if not nxt.all():
-            steps, reach = steps + (1 << bit), nxt
+        nxt = _or_product(reach, powers[bit])
+        still_open = is_open(nxt)
+        if still_open.any():
+            steps, reach = steps + (1 << bit), nxt[still_open]
     return steps + 1
 
 

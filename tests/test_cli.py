@@ -241,9 +241,10 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["verify", "--graph", "/nonexistent", "--coloring", "/nope"]) == 2
 
 
-# Fuzzing of `verify`, `color`, `rainbow` and `grow`: damaged graph and
-# coloring files and out-of-range flags must end in exit code 0, 1 or 2
-# (or 3, a budget refusal, for `rainbow` and `grow`), never a traceback.
+# Fuzzing of `verify`, `color`, `rainbow`, `grow`, `rck` and `sweep`:
+# damaged graph and coloring files and out-of-range flags must end in exit
+# code 0, 1 or 2 (or 3, a budget refusal, for all but `verify` and
+# `color`), never a traceback.
 TOKENS = st.one_of(
     st.integers(-3, 60).map(str),
     st.sampled_from(["x", "1.5", "-0", "1e3", "nan", "", str(2**64), str(-2**70)]),
@@ -275,15 +276,49 @@ def damaged(draw, lines):
 
 
 @st.composite
+def sweep_argv(draw):
+    def small(lo, hi):  # mostly in range, else malformed
+        good = st.integers(lo, hi).map(str)
+        return st.one_of(good, good, st.sampled_from(["0", "-1", "x", "", "1.5", str(2**64)]))
+
+    sizes = st.lists(st.integers(2, 40), min_size=1, max_size=2)
+    multipliers = st.lists(
+        st.one_of(st.sampled_from([0, 0.5, 1, 2, 4, 8]), st.floats(0, 8)), min_size=1, max_size=3
+    )
+    argv = [
+        "sweep",
+        "--n-values", ",".join(map(str, draw(sizes))),
+        "--multipliers", ",".join(map(str, draw(multipliers))),
+        "--mode", draw(st.sampled_from(["coloring", "diameter", "growth"])),
+        "--d", draw(small(2, 4)),
+        "--k", draw(small(1, 3)),
+        "--trials", str(draw(st.integers(1, 3))),
+        "--seed", draw(st.one_of(st.integers(0, 2**32).map(str), st.integers(0, 2**32).map(str), TOKENS)),
+        "--format", draw(st.sampled_from(["csv", "json"])),
+    ]
+    if draw(st.booleans()):
+        argv += ["--branching", draw(small(1, 4))]
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+@st.composite
 def cli_runs(draw):
-    """argv for `verify`, `color`, `rainbow` or `grow` plus the graph and
-    coloring files. The coloring header ranges over -2..10 while edges use
-    colors 1..3, so rainbow paths stay short. Exact k >= 2 verification
-    still searches every pair's rainbow paths, which grows steeply with n
-    on dense graphs and large k, so n stays at most 20. `rainbow` draws
-    --k in 1..5, so that k >= 3 reaches the connectivity flows, and at
-    most 4 attempts."""
-    n = draw(st.integers(2, 20))
+    """argv for `verify`, `color`, `rainbow`, `grow`, `rck` or `sweep` plus
+    the graph and coloring files. The coloring header ranges over -2..10
+    while edges use colors 1..3, so rainbow paths stay short. Exact k >= 2
+    verification still searches every pair's rainbow paths, which grows
+    steeply with n on dense graphs and large k, so n stays at most 20.
+    `rainbow` draws --k in 1..5, so that k >= 3 reaches the connectivity
+    flows, and at most 4 attempts. `rck` enumerates colorings, so its
+    graphs keep at most 4 vertices. `sweep` runs every mode at n <= 40,
+    trials <= 3 and multipliers 0..8, with --d and --k near the small
+    values a sweep is run at, plus malformed tokens."""
+    command = draw(st.sampled_from(["rainbow", "verify", "color", "grow", "rck", "sweep"]))
+    if command == "sweep":
+        return draw(sweep_argv()), {}
+    n = draw(st.integers(2, 4 if command == "rck" else 20))
     g = gnp_generate(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32)))
     colors = draw(st.lists(st.integers(1, 3), min_size=g.m, max_size=g.m))
     col = EdgeColoring(g, max(colors, default=1), colors)
@@ -294,7 +329,6 @@ def cli_runs(draw):
         "coloring": draw(damaged(col_lines)),
     }
     flag = st.one_of(st.integers(-2, 6).map(str), TOKENS)
-    command = draw(st.sampled_from(["rainbow", "verify", "color", "grow"]))
     if command == "verify":
         argv = ["verify", "--graph", "graph", "--coloring", "coloring", "--k", draw(flag)]
     elif command == "color":
@@ -302,6 +336,10 @@ def cli_runs(draw):
     elif command == "rainbow":
         argv = ["rainbow", "--graph", "graph", "--k", str(draw(st.integers(1, 5))),
                 "--attempts", str(draw(st.integers(1, 4))), "--seed", draw(flag)]
+    elif command == "rck":
+        argv = ["rck", "--graph", "graph", "--k", draw(st.one_of(st.integers(1, 3).map(str), flag)),
+                "--max-colors", draw(st.one_of(st.integers(1, 6).map(str), flag)),
+                "--edge-budget", draw(st.one_of(st.integers(0, 12).map(str), flag))]
     else:
         argv = ["grow", "--graph", "graph", "--u", draw(flag), "--v", draw(flag),
                 "--depth", draw(flag), "--branching", draw(flag), "--seed", draw(flag)]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcgraph.graphs as graph_module
 from rcgraph import (
     INFINITE,
     Graph,
@@ -14,7 +15,14 @@ from rcgraph import (
     vertex_connectivity_at_least,
 )
 from rcgraph.construct import rainbow_color_random
-from rcgraph.graphs import _disjoint_paths_at_least, _split_network, gnp_threshold, pair_draws
+from rcgraph.graphs import (
+    _disjoint_paths_at_least,
+    _or_product,
+    _pack_rows,
+    _split_network,
+    gnp_threshold,
+    pair_draws,
+)
 
 from _oracles import (
     adjacency_lists,
@@ -233,6 +241,80 @@ class TestDiameter:
     def test_matrix_route_long_path(self, length):
         # every diameter up to 130, so binary lifting sets each of its bits
         assert diameter(path_graph(length + 1)) == length
+
+
+def star_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little").astype(bool)
+
+
+class TestPackedDiameter:
+    """The packed route at the word (64) and byte (8) boundaries of its
+    rows, on shapes whose diameters span 1 to n - 1 and infinity."""
+
+    BOUNDARIES = (63, 64, 65, 127, 128, 129)
+
+    @pytest.mark.parametrize("n", BOUNDARIES)
+    @pytest.mark.parametrize("shape", [complete_graph, path_graph, star_graph, cycle_graph])
+    def test_matches_oracle_on_regular_shapes(self, n, shape):
+        g = shape(n)
+        assert diameter(g) == brute_diameter(g)
+
+    @pytest.mark.parametrize("n", BOUNDARIES)
+    @pytest.mark.parametrize("p", [0.02, 0.04, 0.1, 0.5])
+    def test_matches_oracle_on_gnp(self, n, p):
+        g = gnp_generate(n, p, n)
+        assert diameter(g) == brute_diameter(g)
+
+    def test_isolated_vertex_is_infinite(self):
+        g = Graph.from_edges(65, [(i, j) for i in range(64) for j in range(i + 1, 64)])
+        assert diameter(g) == INFINITE
+
+    def test_two_components_are_infinite(self):
+        edges = [(i, i + 1) for i in range(69)] + [(i, i + 1) for i in range(70, 129)]
+        assert diameter(Graph.from_edges(130, edges)) == INFINITE
+
+    def test_two_vertices_without_edge_are_infinite(self):
+        assert diameter(Graph(2, np.empty((0, 2), dtype=np.int32))) == INFINITE
+
+    def test_lollipop(self):
+        clique = [(i, j) for i in range(30) for j in range(i + 1, 30)]
+        tail = [(i, i + 1) for i in range(29, 69)]
+        g = Graph.from_edges(70, clique + tail)
+        assert diameter(g) == brute_diameter(g) == 41
+
+    def test_grid(self):
+        edges = [(8 * r + c, 8 * r + c + 1) for r in range(8) for c in range(7)]
+        edges += [(8 * r + c, 8 * r + c + 8) for r in range(7) for c in range(8)]
+        g = Graph.from_edges(64, sorted(edges))
+        assert diameter(g) == brute_diameter(g) == 14
+
+
+class TestOrProduct:
+    def test_packed_layout_is_little_endian_words(self):
+        a = np.zeros((1, 130), dtype=bool)
+        a[0, [0, 70, 129]] = True
+        assert _pack_rows(a).tolist() == [[1, 1 << 6, 1 << 1]]
+
+    @pytest.mark.parametrize("rows, n, m", [(1, 5, 5), (7, 13, 70), (40, 67, 9), (30, 130, 130)])
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("table_words", [graph_module._TABLE_WORDS, 256])
+    def test_matches_integer_product(self, rows, n, m, density, table_words, monkeypatch):
+        # 256 words hold one table per block, so every byte is its own block
+        monkeypatch.setattr(graph_module, "_TABLE_WORDS", table_words)
+        rng = np.random.default_rng(rows * n * m)
+        x = rng.random((rows, n)) < density
+        y = rng.random((n, m)) < density
+        got = unpack_rows(_or_product(_pack_rows(x), _pack_rows(y)), m)
+        assert np.array_equal(got, (x.astype(int) @ y.astype(int)) > 0)
+
+    def test_empty_row_set(self):
+        y = _pack_rows(np.ones((67, 67), dtype=bool))
+        out = _or_product(_pack_rows(np.zeros((0, 67), dtype=bool)), y)
+        assert out.shape == (0, y.shape[1])
 
 
 class TestVertexConnectivity:
