@@ -220,6 +220,11 @@ class NotKConnected:
 ColoringOutcome = Union[RainbowColoring, ColoringFailure, NotKConnected]
 
 
+#: Most random colorings :func:`rainbow_k_color` draws per color count;
+#: each is one exact verification.
+MAX_ATTEMPTS = 2**16
+
+
 def rainbow_k_color(
     g: Graph,
     k: int,
@@ -233,9 +238,14 @@ def rainbow_k_color(
     derives the depth budget d (at most m) from the exponent of p, then
     draws random d-colorings until one verifies, escalating once to d+1
     colors. Every returned coloring has been verified; an immediate
-    NotKConnected diagnosis is returned when no coloring can exist.
+    NotKConnected diagnosis is returned when no coloring can exist. More
+    than ``MAX_ATTEMPTS`` attempts raise BudgetExceeded before any work.
     """
     k, attempts = check_int("k", k, 1), check_int("attempts", attempts, 1)
+    if attempts > MAX_ATTEMPTS:
+        raise BudgetExceeded(
+            f"attempts = {attempts} is above the budget of {MAX_ATTEMPTS} attempts per color count"
+        )
     check_seed(seed)
     if known_p is not None and not 0.0 < known_p <= 1.0:
         raise ValueError(f"known_p must lie in (0, 1], got {known_p}")

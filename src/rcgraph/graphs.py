@@ -399,7 +399,8 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     """Exact decision: does every vertex pair have >= k internally
     vertex-disjoint connecting paths (equivalently, is g k-vertex-connected)?
 
-    One depth-first search over ``Graph.csr`` answers k = 1 and gates the
+    A complete graph answers at once, with no search. Otherwise one
+    depth-first search over ``Graph.csr`` answers k = 1 and gates the
     rest; k = 2 is the lowpoint cut-vertex test on its tree. For k >= 3
     each non-adjacent pair, in lexicographic order, runs at most k
     augmenting paths on one :func:`_split_network` until a pair falls short.
@@ -408,6 +409,8 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     n = g.n
     if k > n - 1:
         return False
+    if g.is_complete:
+        return True  # complete graphs have connectivity n - 1 >= k here
     order, parent = _dfs_tree(g)
     if len(order) < n:
         return False
@@ -417,8 +420,6 @@ def vertex_connectivity_at_least(g: Graph, k: int) -> bool:
         return False
     if k == 2:
         return not _has_cut_vertex(g, order, parent)
-    if g.is_complete:
-        return True  # complete graphs have connectivity n - 1 >= k here
     net = _split_network(g)
     for u in range(n - 1):
         apart = np.ones(n, dtype=bool)

@@ -11,22 +11,25 @@ Colorings with more than 6 colors, and those :func:`rc_k_exact` tries,
 are verified pair by pair. Others use matrix algebra: rainbow reach over
 color subsets at k = 1 with c >= 3, and otherwise a lower bound on the
 length-<=2 count, [uv in E] plus the rainbow middles, over a doubling
-prefix of middle vertices, made exact pair by pair in lexicographic
-order only where it is below k. A pair still below k fails at c <= 2,
-where no rainbow path is longer, or if either degree is below k.
-Otherwise :func:`max_disjoint_rainbow_paths` counts it
-(``_matching_count`` at c = 3 on the matrix route): the edge and the
-middles first, then the longer rainbow paths that avoid every middle,
-shortest first and packed first fit as they are found, and the exact
-set packing only when the search runs out. One iterative simple-path
-enumerator, ``_simple_paths``, serves every path search.
+prefix of middle vertices, made exact in lexicographic order only where
+it is below k. A pair still below k fails at c <= 2, where no rainbow
+path is longer, or if either degree is below k. At c = 3 the matrix
+route counts each batch of such pairs at once (``_first_short_pair``):
+the 3-edge rainbow paths come from gathered blocks of the two neighbor
+lists, and only a pair that still misses two or more paths gets the
+exact packing. Otherwise :func:`max_disjoint_rainbow_paths` counts the
+pair: the edge and the middles first, then the longer rainbow paths
+that avoid every middle, shortest first and packed first fit as they
+are found, and the exact set packing only when the search runs out. One
+iterative simple-path enumerator, ``_simple_paths``, serves every path
+search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from itertools import combinations, pairwise
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -370,26 +373,102 @@ def _color_matrix(g: Graph, col: EdgeColoring) -> np.ndarray:
     return colors
 
 
-def _matching_count(colors: np.ndarray, u: int, v: int, k: int) -> int:
-    """min(k, M(u, v)) under a 3-coloring given as its color matrix:
+#: Cells of one gathered block of the c = 3 batch count: 8 MB of flat
+#: indices, 1 MB per int8 or bool temporary. A chunk of t pending pairs
+#: keeps t * n and t * D_a * D_b under it, D the widest candidate list in
+#: the chunk, so a hub shrinks its chunk instead of growing the block; a
+#: single pair wider than that is gathered in slices of its candidates.
+_BATCH_CELLS = 1 << 20
+
+
+def _padded(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's set columns in ascending order, padded on the right:
+    an (r, D) index array and its (r, D) validity mask."""
+    sizes = np.count_nonzero(mask, axis=1)
+    valid = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    idx = np.zeros(valid.shape, dtype=np.intp)
+    idx[valid] = np.nonzero(mask)[1]
+    return idx, valid
+
+
+def _h_edges(colors: np.ndarray, a: np.ndarray, ca: np.ndarray,
+             b: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """(t, D_a, D_b) bool: u-a-b-v is rainbow, that is the end colors
+    differ and the middle edge has the third. Padded ends carry color 7,
+    which no middle color matches."""
+    step = max(1, _BATCH_CELLS // max(1, a.shape[0] * b.shape[1]))
+    n = colors.shape[1]
+    parts = []
+    for i in range(0, a.shape[1], step):
+        # One take over flat indices: several times faster than the
+        # broadcast fancy index colors[a, b] on the same cells.
+        cells = (a[:, i:i + step, None] * n) + b[:, None, :]
+        ci = ca[:, i:i + step, None]
+        hit = colors.take(cells) == (6 - ci) - cb[:, None, :]
+        hit &= ci != cb[:, None, :]
+        parts.append(hit)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _first_short_pair(colors: np.ndarray, us: np.ndarray, vs: np.ndarray, k: int) -> int | None:
+    """Index of the first pair (us[i], vs[i]) with fewer than k internally
+    disjoint rainbow paths under a 3-coloring given as its color matrix,
+    or None when every pair has k.
+
     M = [uv in E] + |S| + nu(H - S), S the middles w of rainbow paths
-    u-w-v and nu the matching number of H, which joins a and b when
-    u-a-b-v is rainbow. An optimal packing can take all of S, as a 3-edge
-    path through w in S may be swapped for u-w-v."""
-    cu, cv = colors[u], colors[v]
-    near_u, near_v = cu > 0, cv > 0
-    middles = near_u & near_v & (cu != cv)
-    found = int(near_u[v]) + int(np.count_nonzero(middles))
-    if found >= k:
-        return k
-    near_u[v] = near_v[u] = False
-    a = np.flatnonzero(near_u & ~middles)
-    b = np.flatnonzero(near_v & ~middles)
-    ca, cb = cu[a][:, None], cv[b]
-    # Rainbow iff the end colors differ and the middle edge has the third.
-    i, j = np.nonzero((colors[np.ix_(a, b)] == 6 - ca - cb) & (ca != cb))
-    paths = [(u, x, y, v) for x, y in zip(a[i].tolist(), b[j].tolist())]
-    return found + _max_disjoint_packing(paths, cap=k - found)
+    u-w-v and nu the matching number of H, which joins a in N(u) - S - v
+    and b in N(v) - S - u when u-a-b-v is rainbow. An optimal packing can
+    take all of S, as a 3-edge path through w in S may be swapped for
+    u-w-v. With need = k - [uv in E] - |S|, a pair fails when need exceeds
+    the smaller candidate list (a degree below k) or the edge count of H,
+    and passes at need = 1 with an edge; the rest get the exact packing
+    over their paths (u, a, b, v) in (a, b) order, in pair order, and no
+    pair after the first that falls short is packed."""
+    n = colors.shape[1]
+    rows = max(1, _BATCH_CELLS // n)
+    for lo in range(0, us.size, rows):
+        u, v = us[lo:lo + rows], vs[lo:lo + rows]
+        cu, cv = colors[u], colors[v]
+        near_u, near_v = cu > 0, cv > 0
+        middles = near_u & near_v & (cu != cv)
+        at = np.arange(u.size)
+        need = k - near_u[at, v] - np.count_nonzero(middles, axis=1)
+        near_u ^= middles
+        near_v ^= middles
+        near_u[at, v] = near_v[at, u] = False
+        size_a, size_b = np.count_nonzero(near_u, axis=1), np.count_nonzero(near_v, axis=1)
+        short = np.flatnonzero(need > np.minimum(size_a, size_b))
+        live = np.flatnonzero(need[:short[0] if short.size else u.size] > 0)
+        start = 0
+        while start < live.size:
+            # The longest run of live pairs from start whose padded block
+            # fits the budget; it cannot outgrow the first pair's share.
+            first = live[start]
+            run = live[start:start + max(1, _BATCH_CELLS // (size_a[first] * size_b[first]))]
+            block = np.arange(1, run.size + 1)
+            block *= np.maximum.accumulate(size_a[run])
+            block *= np.maximum.accumulate(size_b[run])
+            chunk = run[:max(1, int(np.searchsorted(block, _BATCH_CELLS, "right")))]
+            start += chunk.size
+            a, valid_a = _padded(near_u[chunk])
+            b, valid_b = _padded(near_v[chunk])
+            ca, cb = cu[chunk[:, None], a], cv[chunk[:, None], b]
+            ca[~valid_a] = cb[~valid_b] = 7
+            hit = _h_edges(colors, a, ca, b, cb)
+            # nu <= |E(H)|, and nu >= 1 when H has an edge.
+            under = np.flatnonzero(np.count_nonzero(hit, axis=(1, 2)) < need[chunk])
+            wanted = need[chunk[:under[0] if under.size else chunk.size]]
+            for j in np.flatnonzero(wanted >= 2).tolist():
+                x, y = np.nonzero(hit[j])
+                s, t = int(u[chunk[j]]), int(v[chunk[j]])
+                paths = ((s, p, q, t) for p, q in zip(a[j, x].tolist(), b[j, y].tolist()))
+                if _max_disjoint_packing(paths, cap=int(wanted[j])) < wanted[j]:
+                    return lo + int(chunk[j])
+            if under.size:
+                return lo + int(chunk[under[0]])
+        if short.size:
+            return lo + int(short[0])
+    return None
 
 
 def _add_middles(bound: np.ndarray, colors: np.ndarray, c: int, start: int, stop: int) -> None:
@@ -439,9 +518,6 @@ def _verify_matrix(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
         return _first_failing_pair(_rainbow_reach(_color_planes(g, col)))
     n, c = g.n, col.c
     colors = _color_matrix(g, col)
-    # The per-pair count for pairs whose length-<=2 count is below k.
-    count = (partial(_matching_count, colors) if c == 3
-             else partial(max_disjoint_rainbow_paths, g, col))
     # bound[u, v] = [uv in E] + the rainbow middles among vertices
     # [0, stop): a lower bound on the length-<=2 count, exact at stop = n.
     bound = (colors > 0).astype(np.float32)
@@ -461,9 +537,17 @@ def _verify_matrix(g: Graph, col: EdgeColoring, k: int) -> VerifyResult:
             if stop < n:
                 short = bound[us, vs] + _middle_counts(colors, us, vs, stop) < k
                 us, vs = us[short], vs[short]
+            if c <= 2 and us.size:  # no rainbow path is longer
+                return VerifyResult(False, (int(us[0]), int(vs[0])))
+            if c == 3:
+                bad = _first_short_pair(colors, us, vs, k)
+                if bad is not None:
+                    return VerifyResult(False, (int(us[bad]), int(vs[bad])))
+                continue
             for u, v in zip(us.tolist(), vs.tolist()):
-                # No longer rainbow path at c <= 2; no count above a degree.
-                if c <= 2 or min(g.degree(u), g.degree(v)) < k or count(u, v, k) < k:
+                # No pair has more paths than either degree.
+                if (min(g.degree(u), g.degree(v)) < k
+                        or max_disjoint_rainbow_paths(g, col, u, v, k) < k):
                     return VerifyResult(False, (u, v))
         if final:
             return VerifyResult(True, None)

@@ -11,6 +11,7 @@ implementations are tested against.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -81,13 +82,14 @@ def all_simple_paths(
     cap = max_len if max_len is not None else g.n - 1
     if exact_len is not None:
         cap = exact_len
+    edges = set(g.edges)
     out = []
     stack: list[tuple[int, ...]] = [(u,)]
     while stack:
         path = stack.pop()
         x = path[-1]
         for w in range(g.n):
-            if not g.has_edge(x, w) or w in path:
+            if (min(x, w), max(x, w)) not in edges or w in path:
                 continue
             if w == v:
                 q = path + (v,)
@@ -143,10 +145,18 @@ def brute_max_disjoint_rainbow(g: Graph, col: EdgeColoring, u: int, v: int) -> i
     return brute_max_disjoint(brute_rainbow_paths(g, col, u, v, col.c))
 
 
+@lru_cache(maxsize=64)
+def distinct_internal_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
+    """One simple u-v path per internal vertex set: paths that share one
+    are interchangeable in a packing. Cached, so that checking one graph
+    at several k enumerates its paths once."""
+    return list({frozenset(q[1:-1]): q for q in all_simple_paths(g, u, v)}.values())
+
+
 def brute_vertex_connectivity_at_least(g: Graph, k: int) -> bool:
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if brute_max_disjoint(all_simple_paths(g, u, v)) < k:
+            if brute_max_disjoint(distinct_internal_paths(g, u, v), cap=k) < k:
                 return False
     return True
 

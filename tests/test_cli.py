@@ -158,6 +158,13 @@ def test_rainbow_k3_runs_the_connectivity_flows(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--graph", str(gpath), "--coloring", str(cpath), "--k", "3"]) == 0
 
 
+def test_rainbow_refuses_attempts_above_the_budget(tmp_path, graph_file, capsys):
+    gpath = graph_file(gnp_generate(20, 0.5, 1))
+    for attempts in (2**16 + 1, 2**64):
+        assert main(["rainbow", "--graph", gpath, "--k", "2", "--attempts", str(attempts)]) == 3
+        assert "budget" in capsys.readouterr().err
+
+
 def test_sweep_with_flags_writes_csv(tmp_path, capsys):
     out = tmp_path / "records.csv"
     code = main([
@@ -244,7 +251,8 @@ def test_missing_file_is_usage_error(capsys):
 # Fuzzing of `verify`, `color`, `rainbow`, `grow`, `rck` and `sweep`:
 # damaged graph and coloring files and out-of-range flags must end in exit
 # code 0, 1 or 2 (or 3, a budget refusal, for all but `verify` and
-# `color`), never a traceback.
+# `color`), never a traceback; `rainbow` with more attempts than its budget
+# on a readable graph must end in 3.
 TOKENS = st.one_of(
     st.integers(-3, 60).map(str),
     st.sampled_from(["x", "1.5", "-0", "1e3", "nan", "", str(2**64), str(-2**70)]),
@@ -311,13 +319,15 @@ def cli_runs(draw):
     verification still searches every pair's rainbow paths, which grows
     steeply with n on dense graphs and large k, so n stays at most 20.
     `rainbow` draws --k in 1..5, so that k >= 3 reaches the connectivity
-    flows, and at most 4 attempts. `rck` enumerates colorings, so its
+    flows, and at most 4 attempts, or else an --attempts above the budget
+    on a readable graph, which must be refused with exit 3. `rck` enumerates colorings, so its
     graphs keep at most 4 vertices. `sweep` runs every mode at n <= 40,
     trials <= 3 and multipliers 0..8, with --d and --k near the small
-    values a sweep is run at, plus malformed tokens."""
+    values a sweep is run at, plus malformed tokens. The third item is
+    the set of exit codes the run may end in."""
     command = draw(st.sampled_from(["rainbow", "verify", "color", "grow", "rck", "sweep"]))
     if command == "sweep":
-        return draw(sweep_argv()), {}
+        return draw(sweep_argv()), {}, (0, 1, 2, 3)
     n = draw(st.integers(2, 4 if command == "rck" else 20))
     g = gnp_generate(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32)))
     colors = draw(st.lists(st.integers(1, 3), min_size=g.m, max_size=g.m))
@@ -334,6 +344,12 @@ def cli_runs(draw):
     elif command == "color":
         argv = ["color", "--graph", "graph", "--colors", draw(flag), "--seed", draw(flag)]
     elif command == "rainbow":
+        if draw(st.integers(0, 4)) == 0:
+            files["graph"] = graph_to_text(g)
+            argv = ["rainbow", "--graph", "graph", "--k", str(draw(st.integers(1, 5))),
+                    "--attempts", draw(st.sampled_from([str(2**16 + 1), str(2**64), "9" * 40])),
+                    "--seed", str(draw(st.integers(0, 2**32)))]
+            return argv, files, (3,)
         argv = ["rainbow", "--graph", "graph", "--k", str(draw(st.integers(1, 5))),
                 "--attempts", str(draw(st.integers(1, 4))), "--seed", draw(flag)]
     elif command == "rck":
@@ -345,13 +361,13 @@ def cli_runs(draw):
                 "--depth", draw(flag), "--branching", draw(flag), "--seed", draw(flag)]
     if draw(st.integers(0, 9)) == 0:
         del argv[draw(st.integers(1, len(argv) - 1))]
-    return argv, files
+    return argv, files, (0, 1, 2) if command in ("verify", "color") else (0, 1, 2, 3)
 
 
 @given(cli_runs())
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_commands_exit_cleanly(run):
-    argv, files = run
+    argv, files, codes = run
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
             path = Path(tmp, name)
@@ -366,5 +382,5 @@ def test_fuzzed_commands_exit_cleanly(run):
                 code = main(argv)
             except SystemExit as exc:  # argparse refusals
                 code = exc.code
-    assert code in ((0, 1, 2) if argv[0] in ("verify", "color") else (0, 1, 2, 3))
+    assert code in codes
     assert "Traceback" not in err.getvalue()

@@ -23,7 +23,8 @@ from rcgraph import (
     validate_path_packing,
     vertex_connectivity_at_least,
 )
-from rcgraph.construct import TreeGrowth
+from rcgraph import construct
+from rcgraph.construct import MAX_ATTEMPTS, TreeGrowth
 
 from _oracles import (
     adjacency_lists,
@@ -361,6 +362,21 @@ class TestRainbowKColor:
             rainbow_k_color(g, 1, attempts=0)
         with pytest.raises(ValueError):
             rainbow_k_color(g, 1, known_p=0.0)
+
+    def test_refuses_attempts_above_the_budget_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work ran before the attempts budget was checked")
+
+        for name in ("vertex_connectivity_at_least", "is_rainbow_k_connected",
+                     "rainbow_color_random"):
+            monkeypatch.setattr(construct, name, no_work)
+        for attempts in (MAX_ATTEMPTS + 1, 2**64):
+            with pytest.raises(BudgetExceeded, match="budget"):
+                rainbow_k_color(cycle_graph(30), 2, attempts=attempts)
+
+    def test_budget_allows_exactly_max_attempts(self):
+        outcome = rainbow_k_color(complete_graph(5), 1, attempts=MAX_ATTEMPTS)
+        assert isinstance(outcome, RainbowColoring)
 
     def test_every_reported_success_reverifies(self):
         for seed in range(8):

@@ -330,6 +330,18 @@ class TestVertexConnectivity:
         for k in range(5, 8):
             assert not vertex_connectivity_at_least(g, k)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_complete_graphs_answer_before_the_search(self, n, monkeypatch):
+        g = complete_graph(n)
+        expected = [brute_vertex_connectivity_at_least(g, k) for k in range(1, n + 2)]
+
+        def no_search(*args):
+            raise AssertionError("the depth-first search ran on a complete graph")
+
+        monkeypatch.setattr(graph_module, "_dfs_tree", no_search)
+        assert [vertex_connectivity_at_least(g, k) for k in range(1, n + 2)] == expected
+        assert expected == [k <= n - 1 for k in range(1, n + 2)]
+
     def test_k2_on_two_vertices(self):
         g = complete_graph(2)
         assert vertex_connectivity_at_least(g, 1)

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,13 +25,14 @@ from rcgraph import (
     validate_path_packing,
 )
 from rcgraph.construct import rainbow_color_random
+from rcgraph.theory import sharp_threshold
 from rcgraph import rainbow
 from rcgraph.rainbow import (
     _add_middles,
     _canonical_colorings,
     _color_matrix,
     _color_planes,
-    _matching_count,
+    _first_short_pair,
     _middle_counts,
     _simple_paths,
     _verify_matrix,
@@ -49,6 +52,14 @@ from _oracles import (
     path_graph,
 )
 from _strategies import colored_graphs
+
+
+def batch_count(colors, u, v, k):
+    """min(k, M(u, v)) under a 3-coloring, read off the c = 3 batch count
+    on one-pair batches: the pair falls short at j = M + 1 and not before."""
+    us, vs = np.array([u]), np.array([v])
+    short = (j for j in range(1, k + 1) if _first_short_pair(colors, us, vs, j) is not None)
+    return next(short, k + 1) - 1
 
 
 def long_rainbow_path(n: int = 1100):
@@ -245,7 +256,7 @@ class TestMaxDisjointRainbowPaths:
         col = EdgeColoring(g, 10, random.Random(2).choices([1, 2, 3], k=g.m))
         colors = _color_matrix(g, col)
         for v in (1, 7, 19):
-            assert max_disjoint_rainbow_paths(g, col, 0, v, 50) == _matching_count(colors, 0, v, 50)
+            assert max_disjoint_rainbow_paths(g, col, 0, v, 50) == batch_count(colors, 0, v, 50)
 
 
 class TestIsRainbowKConnected:
@@ -305,7 +316,8 @@ class TestIsRainbowKConnected:
         # k clamps to n = 50, above every degree; the matching over the
         # 3-edge paths of pair (0, 1) took tens of seconds.
         matched = []
-        monkeypatch.setattr(rainbow, "_matching_count", lambda *args: matched.append(args))
+        monkeypatch.setattr(rainbow, "_max_disjoint_packing",
+                            lambda *args, **kwargs: matched.append(args))
         g = gnp_generate(50, 0.7, 0)
         col = rainbow_color_random(g, 3, 0)
         assert is_rainbow_k_connected(g, col, 2**64) == (False, (0, 1))
@@ -431,7 +443,7 @@ def dense_verify(g, col, k):
         if col.c <= 2:
             return (False, (u, v))
         if col.c == 3:
-            found = _matching_count(colors, u, v, k)
+            found = batch_count(colors, u, v, k)
         else:
             found = max_disjoint_rainbow_paths(g, col, u, v, k)
         if found < k:
@@ -596,7 +608,9 @@ class TestPrefixRoute:
 
 
 class TestMatchingCount:
-    """The c = 3 count [uv in E] + |S| + nu(H - S) of the matrix route."""
+    """The c = 3 batch count of the matrix route: M = [uv in E] + |S| +
+    nu(H - S) against k for a batch of pairs, returning the first that
+    falls short."""
 
     @given(
         n=st.integers(8, 30),
@@ -612,7 +626,28 @@ class TestMatchingCount:
         colors = _color_matrix(g, col)
         for _ in range(5):
             u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-            assert _matching_count(colors, u, v, k) == max_disjoint_rainbow_paths(g, col, u, v, k)
+            assert batch_count(colors, u, v, k) == max_disjoint_rainbow_paths(g, col, u, v, k)
+
+    @given(
+        n=st.integers(2, 16),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32),
+        k=st.integers(1, 5),
+        cells=st.sampled_from([1, 7, 64, rainbow._BATCH_CELLS]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_returns_the_first_short_pair(self, n, p, seed, k, cells, data):
+        # Every ordered pair, in a drawn order; small cell budgets split
+        # the batch into chunks and single pairs into slices.
+        g = gnp_generate(n, p, seed)
+        col = rainbow_color_random(g, 3, seed)
+        pairs = data.draw(st.permutations([(u, v) for u in range(n) for v in range(n) if u != v]))
+        us, vs = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+        expected = next((i for i, (u, v) in enumerate(pairs)
+                         if max_disjoint_rainbow_paths(g, col, u, v, k) < k), None)
+        with mock.patch.object(rainbow, "_BATCH_CELLS", cells):
+            assert _first_short_pair(_color_matrix(g, col), us, vs, k) == expected
 
     def test_enough_middles_exit_before_the_matching(self, monkeypatch):
         # Vertices 2, 3, 4 are middles of rainbow paths 0-w-1.
@@ -625,14 +660,14 @@ class TestMatchingCount:
 
         monkeypatch.setattr(rainbow, "_max_disjoint_packing", no_matching)
         for k in (1, 2, 3, 4):
-            assert _matching_count(_color_matrix(g, col), 0, 1, k) == k
+            assert batch_count(_color_matrix(g, col), 0, 1, k) == k
 
     def test_equal_colored_common_neighbor_is_a_matching_endpoint(self):
         # 0-2-1 repeats color 1, so 2 is no middle, but 0-2-3-1 is rainbow.
         g, col = colored_by_edge(4, {(0, 2): 1, (2, 1): 1, (2, 3): 2, (3, 1): 3})
         colors = _color_matrix(g, col)
-        assert _matching_count(colors, 0, 1, 1) == 1
-        assert _matching_count(colors, 0, 1, 2) == 1
+        assert batch_count(colors, 0, 1, 1) == 1
+        assert batch_count(colors, 0, 1, 2) == 1
         assert max_disjoint_rainbow_paths(g, col, 0, 1, 2) == 1
 
     def test_matching_beats_greedy_first_fit(self):
@@ -644,18 +679,18 @@ class TestMatchingCount:
         )
         paths = enumerate_rainbow_paths(g, col, 0, 1, 3)
         assert paths == [(0, 2, 3, 1), (0, 2, 4, 1), (0, 3, 5, 1)]
-        assert _matching_count(_color_matrix(g, col), 0, 1, 2) == 2
+        assert batch_count(_color_matrix(g, col), 0, 1, 2) == 2
         assert brute_max_disjoint_rainbow(g, col, 0, 1) == 2
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_matrix_route_matches_pair_route(self, k, monkeypatch):
         pending = []
 
-        def counted(*args):
-            pending[-1] += 1
-            return _matching_count(*args)
+        def counted(colors, us, vs, k):
+            pending[-1] += us.size
+            return _first_short_pair(colors, us, vs, k)
 
-        monkeypatch.setattr(rainbow, "_matching_count", counted)
+        monkeypatch.setattr(rainbow, "_first_short_pair", counted)
         verdicts = set()
         for seed in range(4):
             g = gnp_generate(36, 0.4, seed)
@@ -666,6 +701,51 @@ class TestMatchingCount:
             assert pending[-1] > 0
             verdicts.add(result.ok)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("cells", [64, rainbow._BATCH_CELLS])
+    @pytest.mark.parametrize("p,seed", [(0.3, 0), (0.4, 3)])
+    def test_no_pair_after_the_witness_is_packed(self, p, seed, cells, monkeypatch):
+        # k = 3 on a 3-colored G(30, p). On the first graph the exact
+        # packing fails the witness itself; on the second it runs on pairs
+        # before the witness. Pairs after it need the packing too, which
+        # shows once the batch starts past the witness.
+        g = gnp_generate(30, p, seed)
+        col = rainbow_color_random(g, 3, seed)
+        colors = _color_matrix(g, col)
+        us, vs = np.triu_indices(g.n, 1)
+        packed = []
+        real = rainbow._max_disjoint_packing
+
+        def recorded(paths, cap=None):
+            paths = list(paths)
+            packed.append((paths[0][0], paths[0][-1]))
+            return real(paths, cap)
+
+        monkeypatch.setattr(rainbow, "_max_disjoint_packing", recorded)
+        monkeypatch.setattr(rainbow, "_BATCH_CELLS", cells)
+        witness = _first_short_pair(colors, us, vs, 3)
+        pairs = list(zip(us.tolist(), vs.tolist()))
+        assert witness == next(i for i, (u, v) in enumerate(pairs)
+                               if max_disjoint_rainbow_paths(g, col, u, v, 3) < 3)
+        assert packed and set(packed) <= set(pairs[:witness + 1])
+        del packed[:]
+        _first_short_pair(colors, us[witness + 1:], vs[witness + 1:], 3)
+        assert packed
+
+    def test_memory_stays_flat_at_n_1000(self):
+        # An accepting d = 3, k = 2 verification at 4 x the threshold: 3
+        # products, then 19 603 pending pairs in budgeted chunks, 3 203 of
+        # them packed.
+        g = gnp_generate(1000, 4 * sharp_threshold(1000, 3), 1)
+        col = rainbow_color_random(g, 3, 0)
+        tracemalloc.start()
+        try:
+            ok = is_rainbow_k_connected(g, col, 2).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak < 44e6
 
 
 class TestCanonicalColorings:
